@@ -14,7 +14,10 @@ optimizer never inflates the secure processor's cell census.
 ``benchmarks/check_regression.py`` compares a ``--benchmark-json`` dump
 of this module against the committed ``benchmarks/baseline.json``; the
 machine-independent metrics (gate counts, speedup ratios) are attached
-to the JSON as ``extra_info`` here.
+to the JSON as ``extra_info`` here.  Wall-clock ratios are recorded,
+never asserted: a test here fails only on a bit-identity, counter or
+census check, so the outcome never depends on host speed, and the
+ratios are gated by ``check_regression.py`` in the bench job.
 """
 
 import os
@@ -192,8 +195,9 @@ def test_batch_simulation_speed(benchmark):
 
 
 def test_batch_vs_scalar_throughput(benchmark):
-    """The batched engine must beat N scalar runs >= 3x at N=32 lanes,
-    with bit-identical per-lane architectural and shadow-tag state.
+    """The batched engine against N scalar runs at N=32 lanes (target
+    >= 3x), with bit-identical per-lane architectural and shadow-tag
+    state.
 
     Interleaved min-of-rounds sampling keeps the ratio stable on noisy
     machines; the measured ratio lands in the benchmark JSON as
@@ -242,15 +246,11 @@ def test_batch_vs_scalar_throughput(benchmark):
                     f"lane {lane} {name}[{idx}] diverged"
                 )
 
-    assert speedup >= 3.0, (
-        f"batched simulation only {speedup:.2f}x over {BATCH_LANES} scalar runs"
-    )
-
 
 def test_swar_vs_batch_throughput(benchmark):
-    """The SWAR (wide-word lane-packed) engine must beat the two-tier
-    packed/per-lane engine >= 1.5x at 32 lanes on the secure processor,
-    with bit-identical per-lane state between the two engines.
+    """The SWAR (wide-word lane-packed) engine against the two-tier
+    packed/per-lane engine at 32 lanes on the secure processor (target
+    >= 1.5x), with bit-identical per-lane state between the two engines.
 
     Interleaved min-of-rounds sampling with a retry attempt keeps the
     ratio stable on noisy machines; the measured ratio lands in the
@@ -306,19 +306,15 @@ def test_swar_vs_batch_throughput(benchmark):
                     f"lane {lane} {name}[{idx}] diverged between engines"
                 )
 
-    assert speedup >= 1.5, (
-        f"SWAR engine only {speedup:.2f}x over the two-tier batched engine"
-    )
-
 
 VECTOR_LANES = 256
 
 
 @pytest.mark.skipif(not HAVE_NUMPY, reason="the vector engine needs NumPy")
 def test_vector_vs_swar_throughput(benchmark):
-    """The NumPy vector engine must beat the SWAR engine >= 2.5x at 256
-    lanes on the secure processor, with bit-identical per-lane state
-    between the two engines.
+    """The NumPy vector engine against the SWAR engine at 256 lanes on
+    the secure processor (target >= 2.5x), with bit-identical per-lane
+    state between the two engines.
 
     256 lanes is where ufunc amortization dominates: the SWAR big-int
     words grow with lane count while the vector tier's per-op overhead
@@ -375,10 +371,6 @@ def test_vector_vs_swar_throughput(benchmark):
                 assert va.get(idx, arr.default) == sa.get(idx, arr.default), (
                     f"lane {lane} {name}[{idx}] diverged between engines"
                 )
-
-    assert speedup >= 2.5, (
-        f"vector engine only {speedup:.2f}x over SWAR at {VECTOR_LANES} lanes"
-    )
 
 
 SCALING_LANES = (32, 128, 512)
@@ -483,9 +475,9 @@ def _run_skewed(module, programs, compact, majority):
 
 
 def test_compaction_skewed_throughput(benchmark):
-    """Lane compaction (+ majority-cohort dispatch) must beat the PR-3
-    fixed-width engine >= 1.2x on a skewed (geometric run-length)
-    workload suite, with bit-identical per-lane state at every
+    """Lane compaction (+ majority-cohort dispatch) against the
+    fixed-width engine on a skewed (geometric run-length) workload suite
+    (target >= 1.2x), with bit-identical per-lane state at every
     retirement boundary.
 
     The measured ratio lands in the benchmark JSON as
@@ -538,9 +530,6 @@ def test_compaction_skewed_throughput(benchmark):
     benchmark.pedantic(lambda: speedup, rounds=1, iterations=1)
 
     assert occupancy < 0.7, f"suite not skewed enough (occupancy {occupancy:.2f})"
-    assert speedup >= 1.2, (
-        f"compacted engine only {speedup:.2f}x over the fixed-width engine"
-    )
 
 
 def test_tag_prune_counters(benchmark):
@@ -597,8 +586,8 @@ def test_tag_prune_counters(benchmark):
 
 
 def test_warm_start_speedup(benchmark, tmp_path):
-    """A fresh toolchain over a populated artifact store must rebuild
-    the secure processor >= 5x faster than a cold compile.
+    """A fresh toolchain over a populated artifact store rebuilding the
+    secure processor against a cold compile (target >= 5x).
 
     Cold is the full front end plus the pass pipeline (parse ->
     analyze -> compile -> optimize); warm is a fresh ``Toolchain`` and a
@@ -661,10 +650,6 @@ def test_warm_start_speedup(benchmark, tmp_path):
     benchmark.extra_info["warm_start_ms"] = round(best_warm_time * 1000, 1)
     benchmark.pedantic(lambda: speedup, rounds=1, iterations=1)
 
-    assert speedup >= 5.0, (
-        f"warm start only {speedup:.2f}x over a cold processor compile"
-    )
-
 
 FLEET_WORKLOADS = 1024
 FLEET_LANES_PER_WORKER = 256
@@ -700,9 +685,9 @@ loop:
     reason="the fleet speedup gate needs >= 2 CPUs (CI runners have 4)",
 )
 def test_fleet_speedup(benchmark, tmp_path):
-    """The multiprocess fleet must push a ~1000-workload sweep through
-    >= 2x faster (aggregate lane-cycles/second) than the single-process
-    batched engine, with bit-identical results.
+    """The multiprocess fleet pushing a ~1000-workload sweep against the
+    single-process batched engine (aggregate lane-cycles/second, target
+    >= 2x), with bit-identical results.
 
     Both sides run warm: the single-process comparator reuses the
     process-global toolchain caches, and the fleet is one persistent
@@ -761,9 +746,6 @@ def test_fleet_speedup(benchmark, tmp_path):
     assert merged["requeues"] == 0 and merged["deaths"] == 0
     # every worker warm-started from the shared store, never recompiled
     assert merged["toolchain"].get("store_hit:compile", 0) >= shards
-    assert speedup >= 2.0, (
-        f"fleet only {speedup:.2f}x over single-process at {shards} shards"
-    )
 
 
 def test_interpreter_speed_tdma(benchmark):

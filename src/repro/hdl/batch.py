@@ -75,7 +75,7 @@ from collections.abc import Callable, Sequence
 
 from repro.hdl.ir import HConst, HExpr, HOp, HRef, Module, significant_bits
 from repro.hdl.passes.base import WeakIdMemo
-from repro.hdl.sim import _SIGNED_HELPER, _CodeGen, paren_depth
+from repro.hdl.sim import _SIGNED_HELPER, _CodeGen, nests_within
 from repro.hdl.swar import SWAR_MAX_WIDTH, get_layout
 
 #: Ops that close over the packed (1-bit lane-sliced) world.
@@ -315,7 +315,9 @@ class _BatchCodeGen(_CodeGen):
         self.kinds: dict[str, str] = {}
         #: any name -> has a packed (bit-per-lane) representation
         self.packed_src: dict[str, bool] = {}
-        self.use_count: dict[str, int] = {}
+        #: comb signal -> every HRef in its tree, in walk order with
+        #: repeats (one walk here serves every later ref query)
+        self.refs: dict[str, list[HRef]] = {}
         for r in m.regs.values():
             self.packed_src[r.name] = r.width == 1
         for name, w in m.inputs.items():
@@ -323,9 +325,10 @@ class _BatchCodeGen(_CodeGen):
         for name, e in m.comb:
             self.kinds[name] = self._classify(e)
             self.packed_src[name] = e.width == 1
-            for node in e.walk():
-                if isinstance(node, HRef):
-                    self.use_count[node.name] = self.use_count.get(node.name, 0) + 1
+            self.refs[name] = [node for node in e.walk() if isinstance(node, HRef)]
+        self.use_count: dict[str, int] = Counter(
+            r.name for refs in self.refs.values() for r in refs
+        )
         self.exprs = dict(m.comb)
 
         # Demote SWAR signals that *mux over* wide scalar values back to
@@ -377,11 +380,11 @@ class _BatchCodeGen(_CodeGen):
         # wide scalar signals / inputs whose packed form SWAR trees read
         self.sform_comb: set[str] = set()
         self.sform_inputs: set[str] = set()
-        for name, e in m.comb:
+        for name, refs in self.refs.items():
             if self.kinds[name] != "w":
                 continue
-            for node in e.walk():
-                if isinstance(node, HRef) and node.width > 1:
+            for node in refs:
+                if node.width > 1:
                     if self.kinds.get(node.name) == "s":
                         self.sform_comb.add(node.name)
                     elif node.name in m.inputs:
@@ -443,36 +446,17 @@ class _BatchCodeGen(_CodeGen):
     def _schedule(self) -> None:
         m = self.module
         order = [n for n, _ in m.comb]
-        deps = {
-            name: [n.name for n in e.walk() if isinstance(n, HRef) and n.name in self.kinds]
-            for name, e in m.comb
-        }
-        done: set[str] = set()
-        phases: list[tuple[str, list[str]]] = []
-        while len(done) < len(order):
-            progress = False
-            for kind in ("s", "w", "p"):
-                grabbed: list[str] = []
-                frontier = [n for n in order if n not in done and self.kinds[n] == kind
-                            and all(d in done for d in deps[n])]
-                while frontier:
-                    grabbed.extend(frontier)
-                    done.update(frontier)
-                    frontier = [n for n in order if n not in done and self.kinds[n] == kind
-                                and all(d in done for d in deps[n])]
-                if grabbed:
-                    phases.append((kind, grabbed))
-                    progress = True
-            if not progress:  # pragma: no cover - validate() rejects cycles
-                raise ValueError(f"{m.name}: combinational cycle")
+        pos = {name: k for k, name in enumerate(order)}
+        self.consumers: dict[str, list[str]] = {}
+        for name in order:
+            for r in self.refs[name]:
+                if r.name in self.kinds:
+                    self.consumers.setdefault(r.name, []).append(name)
+        phases = self._phase_waves(order, pos)
         self.phase_of = {}
         for i, (_, sigs) in enumerate(phases):
             for s in sigs:
                 self.phase_of[s] = i
-        self.consumers: dict[str, list[str]] = {}
-        for name in order:
-            for d in deps[name]:
-                self.consumers.setdefault(d, []).append(name)
         # sink scalar signals into the latest scalar phase preceding their
         # first consumer: fewer wide values cross phases through buffers
         nphases = len(phases)
@@ -494,7 +478,6 @@ class _BatchCodeGen(_CodeGen):
                     sigs.remove(s)
                     phases[best][1].append(s)
                     self.phase_of[s] = best
-        pos = {name: k for k, name in enumerate(order)}
         for _, sigs in phases:
             sigs.sort(key=pos.__getitem__)
         self.phases = phases
@@ -527,6 +510,62 @@ class _BatchCodeGen(_CodeGen):
                 if self.kinds[c] == "s"
             ):
                 self.listed.add(name)
+
+    def _phase_waves(self, order: list[str], pos: dict[str, int]) -> list[tuple[str, list[str]]]:
+        """Tier phases in grab order: rounds of s, w, p phases, each
+        grabbing every ready signal of its kind, then the signals those
+        grabs made ready, wave by wave, each wave in source order.
+
+        Kahn-style in-degree counts over :attr:`consumers` find each wave
+        without rescanning, so this is linear in signals plus edges."""
+        kinds, consumers = self.kinds, self.consumers
+        pending = dict.fromkeys(order, 0)
+        for cs in consumers.values():
+            for c in cs:
+                pending[c] += 1
+        ready: dict[str, list[str]] = {"s": [], "w": [], "p": []}
+        for name in order:
+            if not pending[name]:
+                ready[kinds[name]].append(name)
+        phases: list[tuple[str, list[str]]] = []
+        left = len(order)
+        while left:
+            progress = False
+            for kind in ("s", "w", "p"):
+                grabbed: list[str] = []
+                wave = ready[kind]
+                while wave:
+                    ready[kind] = []
+                    wave.sort(key=pos.__getitem__)
+                    grabbed.extend(wave)
+                    for s in wave:
+                        for c in consumers.get(s, ()):
+                            pending[c] -= 1
+                            if not pending[c]:
+                                ready[kinds[c]].append(c)
+                    wave = ready[kind]
+                if grabbed:
+                    phases.append((kind, grabbed))
+                    left -= len(grabbed)
+                    progress = True
+            if not progress:
+                raise ValueError(
+                    f"{self.module.name}: combinational cycle through "
+                    f"{self._on_cycle(pending)!r}"
+                )
+        return phases
+
+    def _on_cycle(self, pending: dict[str, int]) -> str:
+        """A signal on a combinational cycle, given the in-degree counts
+        a stalled schedule left behind: every unscheduled signal still
+        waits on an unscheduled dependency, so following those from any
+        of them must revisit one -- which lies on a cycle."""
+        name = next(n for n, left in pending.items() if left)
+        seen: set[str] = set()
+        while name not in seen:
+            seen.add(name)
+            name = next(r.name for r in self.refs[name] if pending.get(r.name))
+        return name
 
     # -- SWAR mask / constant pool -----------------------------------------
 
@@ -1021,27 +1060,24 @@ class _BatchCodeGen(_CodeGen):
         self.nc_emit = {nm for nm, c in ncount.items() if c >= 2}
 
         self.cons_kind: dict[str, list[str]] = {}
-        for cname, ce in m.comb:
-            for node in ce.walk():
-                if isinstance(node, HRef):
-                    self.cons_kind.setdefault(node.name, []).append(self.kinds[cname])
+        for cname, refs in self.refs.items():
+            for node in refs:
+                self.cons_kind.setdefault(node.name, []).append(self.kinds[cname])
 
         # transitively peel signals that feed only held registers (their
         # write-back is skipped, so the whole alias cone is dead weight;
         # state-folded bodies are mostly held registers)
         live_use = dict(self.use_count)
-        dead: set[str] = set()
-        changed = True
-        while changed:
-            changed = False
-            for name, e in m.comb:
-                if name in dead or live_use.get(name, 0) or name in self.keep:
-                    continue
-                dead.add(name)
-                changed = True
-                for node in e.walk():
-                    if isinstance(node, HRef):
-                        live_use[node.name] -= 1
+        keep = self.keep
+        work = [name for name in self.exprs if not live_use.get(name) and name not in keep]
+        dead: set[str] = set(work)
+        while work:
+            for node in self.refs[work.pop()]:
+                name = node.name
+                live_use[name] -= 1
+                if not live_use[name] and name in self.exprs and name not in keep:
+                    dead.add(name)
+                    work.append(name)
         if dead:
             self.phases = [
                 (kind, [s for s in sigs if s not in dead])
@@ -1130,7 +1166,7 @@ class _BatchCodeGen(_CodeGen):
             if (self.use_count.get(name, 0) == 1 and name not in keep
                     and self.cons_kind.get(name) == ["p"]
                     and len(code) <= _INLINE_LEN
-                    and paren_depth(code) <= _INLINE_DEPTH):
+                    and nests_within(code, _INLINE_DEPTH)):
                 self.pinline[name] = code
             else:
                 self._emit(f"p_{name} = {code}")
@@ -1168,7 +1204,7 @@ class _BatchCodeGen(_CodeGen):
                 if (self.use_count.get(name, 0) == 1 and name not in keep
                         and cons == ["w"]
                         and len(code) <= _INLINE_LEN
-                        and paren_depth(code) <= _INLINE_DEPTH):
+                        and nests_within(code, _INLINE_DEPTH)):
                     self.winline[name] = code
                 else:
                     self._emit(f"s_{name} = {code}")
@@ -1204,8 +1240,8 @@ class _BatchCodeGen(_CodeGen):
         # hoist lane-loop reads used more than once in this phase
         ref_count: Counter = Counter()
         for s in sigs:
-            for node in exprs[s].walk():
-                if isinstance(node, HRef) and node.name not in phase_set:
+            for node in self.refs[s]:
+                if node.name not in phase_set:
                     ref_count[node.name] += 1
         self.lane_local = set()
         self.inline = {}
@@ -1239,7 +1275,7 @@ class _BatchCodeGen(_CodeGen):
                 if not self._accumulated(s):
                     code = self.expr(e)
                     if (uses == 1 and len(code) <= _INLINE_LEN
-                            and paren_depth(code) <= _INLINE_DEPTH):
+                            and nests_within(code, _INLINE_DEPTH)):
                         self.inline[s] = f"({code})"
                     else:
                         lane(f"v_{s} = {code}")
@@ -1270,7 +1306,7 @@ class _BatchCodeGen(_CodeGen):
                 code = self.expr(e)
                 if (uses == 1 and s not in keep
                         and len(code) <= _INLINE_LEN
-                        and paren_depth(code) <= _INLINE_DEPTH):
+                        and nests_within(code, _INLINE_DEPTH)):
                     self.inline[s] = f"({code})"
                 else:
                     lane(f"v_{s} = {code}")

@@ -48,6 +48,13 @@ def paren_depth(code: str) -> int:
     return mx
 
 
+def nests_within(code: str, limit: int) -> bool:
+    """``paren_depth(code) <= limit``, cheaply: nesting can never exceed
+    the number of opening parentheses, and that count (one C-level scan)
+    already settles almost every inlining candidate."""
+    return code.count("(") <= limit or paren_depth(code) <= limit
+
+
 class _CodeGen:
     """Scalar expression emitter shared by :class:`Simulator` and the
     lane-batched codegen in :mod:`repro.hdl.batch` (which subclasses it
@@ -218,7 +225,7 @@ class Simulator:
                 use_count.get(name, 0) == 1
                 and name not in keep
                 and len(code) <= 4000
-                and paren_depth(code) <= 100
+                and nests_within(code, 100)
             ):
                 gen.inline[name] = f"({code})"
             else:

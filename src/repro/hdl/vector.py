@@ -54,7 +54,7 @@ from repro.hdl.batch import (
     BatchSimulator,
 )
 from repro.hdl.ir import HConst, HExpr, HOp, HRef, Module
-from repro.hdl.sim import paren_depth
+from repro.hdl.sim import nests_within
 
 try:
     import numpy as np
@@ -898,7 +898,7 @@ class _VectorCodeGen(_BatchCodeGen):
                 if (self.use_count.get(name, 0) == 1 and name not in keep
                         and cons == ["w"]
                         and len(code) <= _INLINE_LEN
-                        and paren_depth(code) <= _INLINE_DEPTH):
+                        and nests_within(code, _INLINE_DEPTH)):
                     self.winline[name] = code
                 else:
                     self._emit(f"s_{name} = {code}")
@@ -926,9 +926,8 @@ class _VectorCodeGen(_BatchCodeGen):
         fresh: list[str] = []
         seen: set[str] = set()
         for name in sigs:
-            for node in self.exprs[name].walk():
-                if (isinstance(node, HRef) and node.width == 1
-                        and node.name not in seen):
+            for node in self.refs[name]:
+                if node.width == 1 and node.name not in seen:
                     seen.add(node.name)
                     if (self.kinds.get(node.name) != "w"
                             and node.name not in self.dcache):

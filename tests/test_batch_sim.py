@@ -10,11 +10,18 @@ random per-lane stimulus, on both the generic engine and the
 uniform-state specialized fast path.
 """
 
+from itertools import accumulate
+from unittest import mock
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.hdl import BatchSimulator, Simulator
+from repro.hdl import HAVE_NUMPY, BatchSimulator, Simulator
+from repro.hdl.batch import _BatchCodeGen
+from repro.hdl.ir import HConst, HOp, HRef, Module
+from repro.hdl.passes import optimize
+from repro.hdl.sim import nests_within
 from repro.lattice import two_level
 from repro.sapper import samples
 from repro.sapper.analysis import analyze
@@ -782,3 +789,167 @@ class TestToolchainBatchCaching:
             want = scalar.step(inp)
             got = batch.step(inp)
             assert got[0] == want and got[1] == want
+
+
+# ------------------------------------------------------------ codegen scheduling
+
+
+def fixpoint_waves(gen, order, pos):
+    """Reference scheduler: the rescanning fixpoint the Kahn-wave
+    scheduler replaced.  Each wave rescans every signal in source order."""
+    deps = {n: [r.name for r in gen.refs[n] if r.name in gen.kinds] for n in order}
+    done: set = set()
+    phases = []
+    while len(done) < len(order):
+        progress = False
+        for kind in ("s", "w", "p"):
+            grabbed = []
+            while True:
+                wave = [n for n in order if n not in done and gen.kinds[n] == kind
+                        and all(d in done for d in deps[n])]
+                if not wave:
+                    break
+                grabbed += wave
+                done.update(wave)
+            if grabbed:
+                phases.append((kind, grabbed))
+                progress = True
+        if not progress:
+            raise ValueError("combinational cycle")
+    return phases
+
+
+def _codegen_makers():
+    makers = [lambda m: _BatchCodeGen(m, swar=True), lambda m: _BatchCodeGen(m, swar=False)]
+    if HAVE_NUMPY:
+        from repro.hdl.vector import _VectorCodeGen
+
+        makers.append(_VectorCodeGen)
+    return makers
+
+
+def _oracle():
+    return mock.patch.object(_BatchCodeGen, "_phase_waves", fixpoint_waves)
+
+
+class TestCodegenScheduling:
+    """The Kahn-wave scheduler against the rescanning fixpoint it
+    replaced: the same phases in the same grab order on random programs,
+    and byte-identical step sources on the shipped designs."""
+
+    def _assert_same_schedule(self, module):
+        order = [n for n, _ in module.comb]
+        pos = {n: k for k, n in enumerate(order)}
+        for make in _codegen_makers():
+            gen = make(module)
+            gen._schedule()
+            assert gen._phase_waves(order, pos) == fixpoint_waves(gen, order, pos)
+            ref = make(module)
+            with _oracle():
+                ref._schedule()
+            assert ref.phases == gen.phases
+
+    @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(strategies.programs())
+    def test_phases_match_fixpoint_on_random_programs(self, program):
+        lat = two_level()
+        design = compile_program(analyze(program, lat), lat, secure=True, name="rand_sched")
+        self._assert_same_schedule(design.module)
+        self._assert_same_schedule(optimize(design.module))
+
+    @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(strategies.wide_programs())
+    def test_phases_match_fixpoint_on_wide_programs(self, program):
+        lat = two_level()
+        design = compile_program(analyze(program, lat), lat, secure=True, name="wide_sched")
+        self._assert_same_schedule(design.module)
+        self._assert_same_schedule(optimize(design.module))
+
+    @staticmethod
+    def _assert_sources_unchanged(entry, module):
+        """Generic and every folded body, regenerated with the oracle."""
+        bodies = [b for b in entry.bodies.values() if b is not None]
+        with _oracle():
+            assert entry._make_gen(module).generate() == entry.source
+            for body in bodies:
+                gen = entry._make_gen(body.module, pitch=entry.pitch, resident=entry.resident)
+                assert gen.generate() == body.source
+        return len(bodies)
+
+    ENGINES = ["swar", "batch"] + (["vector"] if HAVE_NUMPY else [])
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_tdma_sources_byte_identical(self, engine):
+        from repro.toolchain import Toolchain
+
+        tc = Toolchain()
+        design = tc.compile(samples.TDMA, two_level(), name="tdma_sched")
+        sim = tc.batch_simulator(design, 4, engine=engine)
+        inp = {"hi_in": 9, "hi_in__tag": 1, "lo_in": 4, "lo_in__tag": 0}
+        for _ in range(300):
+            sim.step(inp)
+        assert self._assert_sources_unchanged(sim._entry, sim.module) >= 1
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_processor_sources_byte_identical(self, engine):
+        from repro.mips.assembler import assemble
+        from repro.proc.machine import BatchedMachines
+        from repro.workloads import ALL_WORKLOADS
+
+        exe = assemble(ALL_WORKLOADS["specrand"].source)
+        machines = BatchedMachines([exe] * 4, engine=engine, compact=False)
+        for _ in range(300):
+            machines.sim.step()
+        sim = machines.sim
+        assert self._assert_sources_unchanged(sim._entry, sim.module) >= 1
+
+    def test_cycle_fails_loudly(self):
+        """A cyclic module (validate() bypassed) must not lose signals:
+        codegen raises, naming the module and a signal on the cycle."""
+        m = Module("loopy")
+        m.add_input("i", 1)
+        m.comb = [
+            ("a", HOp("and", (HRef("i", 1), HRef("c", 1)), 1)),
+            ("b", HOp("xor", (HRef("a", 1), HConst(1, 1)), 1)),
+            ("c", HOp("or", (HRef("b", 1), HRef("i", 1)), 1)),
+            ("d", HOp("not", (HRef("c", 1),), 1)),
+        ]
+        m.outputs = {"o": "d"}
+        with pytest.raises(ValueError, match=r"loopy: combinational cycle through '[abc]'"):
+            _BatchCodeGen(m).generate()
+
+    def test_dead_cone_peeled_transitively(self):
+        """A chain feeding nothing the edge reads is dropped whole, not
+        just its last link."""
+        m = Module("peel")
+        i = m.add_input("i", 8)
+        a = m.assign("a", HOp("add", (i, HConst(1, 8)), 8))
+        b = m.assign("b", HOp("xor", (a, HConst(3, 8)), 8))
+        m.assign("c", HOp("and", (b, HConst(5, 8)), 8))
+        m.set_output("o", m.assign("live", HOp("not", (i,), 8)))
+        m.validate()
+        for make in _codegen_makers():
+            gen = make(m)
+            gen.generate()
+            assert [s for _, sigs in gen.phases for s in sigs] == ["live"]
+
+
+def exact_depth(code: str) -> int:
+    return max(accumulate((1 if ch == "(" else -1 for ch in code if ch in "()"), initial=0))
+
+
+class TestInlineDepth:
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet="()x", max_size=300), st.integers(0, 120))
+    def test_matches_exact_scan(self, code, limit):
+        assert nests_within(code, limit) == (exact_depth(code) <= limit)
+
+    @given(st.integers(0, 120), st.integers(-2, 2), st.integers(0, 200))
+    def test_limit_boundary(self, limit, delta, siblings):
+        """Nesting exactly at, just under and just over the limit, with
+        enough flat sibling groups that the open count alone cannot
+        settle the answer."""
+        depth = max(limit + delta, 0)
+        code = "()" * siblings + "(" * depth + "x" + ")" * depth
+        assert exact_depth(code) == max(depth, min(siblings, 1))
+        assert nests_within(code, limit) == (exact_depth(code) <= limit)
