@@ -95,16 +95,15 @@ def test_optimize_pipeline_speed(benchmark):
     )
 
 
-def test_optimized_vs_raw_throughput():
-    """Optimized simulation must beat raw by a real margin (>= 10%).
+def test_optimized_vs_raw_throughput(benchmark):
+    """Optimized simulation against raw on the secure processor, with
+    bit-identical outputs.
 
-    Noise-robust: compares the best of several interleaved samples per
-    engine (the min is the stable estimator for CPU-bound loops), with
-    a bound far below the ~2x ratio seen on quiet machines, so a busy
-    CI runner cannot flip the verdict.
+    Compares the best of several interleaved samples per engine (the
+    min is the stable estimator for CPU-bound loops); the ratio lands
+    in the benchmark JSON as ``extra_info['opt_speedup']`` for the
+    regression gate.
     """
-    import time
-
     design = compile_processor(two_level(), secure=True)
     raw = Simulator(design.module, optimize=False)
     opt = Simulator(design.module)
@@ -120,8 +119,11 @@ def test_optimized_vs_raw_throughput():
     for _ in range(5):  # interleaved so drift hits both engines alike
         raw_samples.append(sample(raw))
         opt_samples.append(sample(opt))
-    raw_t, opt_t = min(raw_samples), min(opt_samples)
-    assert opt_t < raw_t * 0.9, f"optimized {opt_t:.3f}s vs raw {raw_t:.3f}s"
+    speedup = min(raw_samples) / min(opt_samples)
+    benchmark.extra_info["opt_speedup"] = round(speedup, 3)
+    benchmark.pedantic(lambda: speedup, rounds=1, iterations=1)
+    # both ran the same cycles from reset: the same outputs
+    assert raw.step({}) == opt.step({})
 
 
 def test_gate_count_regression(benchmark):
@@ -384,7 +386,8 @@ def test_engine_lane_scaling(benchmark):
     threshold (SWAR wins small batches, the vector tier overtakes it
     between 32 and 128 lanes).  Pure telemetry: the per-point throughput
     numbers land in ``extra_info`` (machine-dependent, so not gated),
-    but the crossover ordering itself is asserted."""
+    and the crossover as the ratios ``swar_over_vector_32`` and
+    ``vector_over_swar_512``, gated by ``check_regression.py``."""
     module, programs = _batch_setup()
     engines = {
         "batch": lambda lanes: _fresh_batch(module, programs, swar=False, lanes=lanes),
@@ -400,11 +403,14 @@ def test_engine_lane_scaling(benchmark):
             )
             lcps[name][lanes] = lanes * SCALING_CYCLES / best
             benchmark.extra_info[f"{name}_lcps_{lanes}"] = round(lcps[name][lanes])
-    benchmark.pedantic(lambda: lcps, rounds=1, iterations=1)
     # the measured crossover: SWAR ahead at 32 lanes, vector ahead at 512
-    assert lcps["swar"][32] > lcps["vector"][32] * 0.5, lcps
-    assert lcps["vector"][512] > lcps["swar"][512], lcps
-    # every engine must scale: 512-lane throughput beats its own 32-lane
+    benchmark.extra_info["swar_over_vector_32"] = round(
+        lcps["swar"][32] / lcps["vector"][32], 3
+    )
+    benchmark.extra_info["vector_over_swar_512"] = round(
+        lcps["vector"][512] / lcps["swar"][512], 3
+    )
+    benchmark.pedantic(lambda: lcps, rounds=1, iterations=1)
     for name in engines:
         assert lcps[name][512] > 0 and lcps[name][32] > 0
 
@@ -585,18 +591,23 @@ def test_tag_prune_counters(benchmark):
     benchmark.pedantic(lambda: ratio, rounds=1, iterations=1)
 
 
-def test_warm_start_speedup(benchmark, tmp_path):
-    """A fresh toolchain over a populated artifact store rebuilding the
-    secure processor against a cold compile (target >= 5x).
+WARM_LANES = 64
 
-    Cold is the full front end plus the pass pipeline (parse ->
-    analyze -> compile -> optimize); warm is a fresh ``Toolchain`` and a
-    fresh ``ArtifactStore`` over the same directory (the in-process
-    stand-in for a new process), which must come entirely from the
-    persistent tier -- asserted via the ``store_hit`` counters, so a
-    silent fallback to recompute cannot masquerade as a pass.
-    Interleaved min-of-rounds sampling with retry attempts keeps the
-    ratio stable on noisy machines; the measured ratio lands in the
+
+def test_warm_start_speedup(benchmark, tmp_path):
+    """Source text to the first step's result on a fresh toolchain, warm
+    from a populated artifact store against cold (target >= 5x).
+
+    Both sides run the ``repro simulate --lanes 64`` build flow:
+    compile, optimize, ``batch_simulator(engine="auto")`` and one
+    ``step()``.  Cold pays the front end, the pass pipeline, batched
+    codegen and the reset binding's fold; warm is a fresh ``Toolchain``
+    and a fresh ``ArtifactStore`` over the same directory (the
+    in-process stand-in for a new process), which must take every one
+    of those from the persistent tier -- asserted via the ``store_hit``
+    counters, so a silent fallback to recompute cannot masquerade as a
+    pass.  Interleaved min-of-rounds sampling with retry attempts keeps
+    the ratio stable on noisy machines; the measured ratio lands in the
     benchmark JSON as ``extra_info['warm_start_speedup']`` for the
     regression gate.
     """
@@ -606,28 +617,35 @@ def test_warm_start_speedup(benchmark, tmp_path):
     src = generate_design()
     lat = two_level()
     store_dir = tmp_path / "store"
-    seed_tc = Toolchain(store=ArtifactStore(store_dir))
-    seed_module = seed_tc.optimize(seed_tc.compile(src, lat, name="proc"))
+
+    def build(store):
+        tc = Toolchain(store=store)
+        design = tc.compile(src, lat, name="proc")
+        tc.optimize(design)
+        sim = tc.batch_simulator(design, WARM_LANES, engine="auto")
+        return tc, sim, sim.step()
+
+    build(ArtifactStore(store_dir))  # populate every stage the flow reads
 
     def cold():
-        tc = Toolchain()
-        return tc.optimize(tc.compile(src, lat, name="proc"))
+        return build(None)
 
     def warm():
-        tc = Toolchain(store=ArtifactStore(store_dir))
-        module = tc.optimize(tc.compile(src, lat, name="proc"))
+        tc, sim, out = build(ArtifactStore(store_dir))
         counters = tc.counter_snapshot()
-        assert counters.get("store_hit:compile") == 1, counters
-        assert counters.get("store_hit:optimize") == 1, counters
-        return module
+        for stage in ("compile", "optimize", "codegen", "fold"):
+            assert counters.get(f"store_hit:{stage}", 0) >= 1, counters
+        return tc, sim, out
 
-    # the reloaded module must be the same hardware, not just fast:
-    # 20 lockstep cycles from reset against the seed's module
-    reloaded = warm()
-    ref_sim = Simulator(seed_module, optimize=False)
-    warm_sim = Simulator(reloaded, optimize=False)
-    for cycle in range(20):
-        assert ref_sim.step({}) == warm_sim.step({}), f"cycle {cycle} diverged"
+    # the warm simulator must be the same hardware, not just fast:
+    # 20 lockstep cycles from reset against the cold simulator
+    _, cold_sim, cold_out = cold()
+    _, warm_sim, warm_out = warm()
+    assert warm_out == cold_out, "cycle 0 diverged"
+    for cycle in range(1, 20):
+        assert warm_sim.step() == cold_sim.step(), f"cycle {cycle} diverged"
+    for lane in range(WARM_LANES):
+        assert warm_sim.lane_regs(lane) == cold_sim.lane_regs(lane), f"lane {lane}"
 
     speedup = 0.0
     best_warm_time = float("inf")

@@ -217,7 +217,7 @@ def analyze_module(
     report.findings.extend(_rule_driven(module, graph))
     report.findings.extend(_rule_dead_inputs(module, graph))
     report.findings.extend(_rule_widths(module))
-    report.certificate = compute_taint(module, sources)
+    report.certificate = compute_taint(module, sources, graph)
     return report
 
 

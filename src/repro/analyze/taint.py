@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from collections.abc import Iterable, Sequence
 from typing import TYPE_CHECKING
 
-from repro.analyze.graph import array_node, build_graph, is_array_node
+from repro.analyze.graph import SignalGraph, array_node, build_graph, is_array_node
 from repro.hdl.ir import Module
 from repro.hdl.passes.base import WeakIdMemo
 
@@ -119,8 +119,13 @@ def default_taint_sources(design: CompiledDesign) -> tuple[str, ...]:
 _CERT_CACHE = WeakIdMemo()
 
 
-def compute_taint(module: Module, sources: Iterable[str]) -> TaintCertificate:
-    """Fixpoint may-carry-taint reachability from *sources* (input names)."""
+def compute_taint(
+    module: Module, sources: Iterable[str], graph: SignalGraph | None = None
+) -> TaintCertificate:
+    """Fixpoint may-carry-taint reachability from *sources* (input names).
+
+    *graph* is *module*'s signal graph when the caller already built it
+    (the lint pass does), saving a second build on a cache miss."""
     sources = tuple(sources)
     per_module = _CERT_CACHE.get(module)
     if per_module is None:
@@ -129,7 +134,8 @@ def compute_taint(module: Module, sources: Iterable[str]) -> TaintCertificate:
     cached = per_module.get(sources)
     if cached is not None:
         return cached
-    graph = build_graph(module)
+    if graph is None:
+        graph = build_graph(module)
     source_list = []
     for name in sources:
         if name in module.arrays:

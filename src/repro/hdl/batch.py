@@ -64,14 +64,23 @@ the same structural identity the :class:`~repro.toolchain.Toolchain`
 keys its artifacts by -- so every ``BatchSimulator`` over one module
 shares a single compilation.  Pass ``swar=False`` to disable the SWAR
 tier and fall back to the two-tier packed/per-lane engine (used by the
-benchmark suite to measure the SWAR tier's speedup).
+benchmark suite to measure the SWAR tier's speedup).  A toolchain with
+an artifact store also persists the generic step and every folded body
+(see "persistence" below), so a new process loads them instead of
+generating them.
 """
 
 from __future__ import annotations
 
+import hashlib
+import importlib.util
+import marshal
 from collections import Counter
+from pathlib import Path
 from time import perf_counter
+from types import CodeType
 from collections.abc import Callable, Sequence
+from typing import NamedTuple
 
 from repro.hdl.ir import HConst, HExpr, HOp, HRef, Module, significant_bits
 from repro.hdl.passes.base import WeakIdMemo
@@ -1561,7 +1570,7 @@ _FOLD_THRESHOLD = 0.5
 _MAX_BODIES = 16
 
 
-class _Marshal:
+class _Marshal(NamedTuple):
     """State footprint of one compiled batched step function.
 
     The cohort-split dispatcher gathers the words a step *reads* into
@@ -1569,17 +1578,107 @@ class _Marshal:
     everything else stays in place untouched (held registers keep their
     full-width words, which is exactly the held semantics)."""
 
-    __slots__ = ("reads_p", "reads_s", "reads_w",
-                 "writes_p", "writes_s", "writes_w", "arrays")
+    reads_p: tuple
+    reads_s: tuple
+    reads_w: tuple
+    writes_p: tuple
+    writes_s: tuple
+    writes_w: tuple
+    arrays: tuple
 
-    def __init__(self, gen: _BatchCodeGen):
-        self.reads_p = gen.reads_pregs
-        self.reads_s = gen.reads_sregs
-        self.reads_w = gen.reads_wregs
-        self.writes_p = gen.writes_pregs
-        self.writes_s = gen.writes_sregs
-        self.writes_w = gen.writes_wregs
-        self.arrays = gen.used_arrays
+    @classmethod
+    def of(cls, gen: _BatchCodeGen) -> _Marshal:
+        return cls(gen.reads_pregs, gen.reads_sregs, gen.reads_wregs,
+                   gen.writes_pregs, gen.writes_sregs, gen.writes_wregs,
+                   gen.used_arrays)
+
+
+# ----------------------------------------------------------- persistence
+#
+# Generated step modules outlive the process through the toolchain's
+# artifact store: a ``codegen`` record per (module, engine) and a
+# ``fold`` record per specialized binding, both keyed under the
+# optimized module's structural key.  Their keys carry GEN_DIGEST and
+# MAGIC, so an edit to any module that shapes the generated code, or a
+# different interpreter, can never be served a stale record.
+
+
+def _gen_digest() -> str:
+    """SHA-256 over the source of every module that shapes generated
+    step code: the IR, the scalar and batched code generators, and the
+    pass pipeline (which shapes the folded bodies)."""
+    hdl = Path(__file__).resolve().parent
+    paths = [hdl / f"{name}.py" for name in ("ir", "sim", "swar", "batch", "vector")]
+    paths += sorted((hdl / "passes").glob("*.py"))
+    digest = hashlib.sha256()
+    for path in paths:
+        digest.update(path.relative_to(hdl).as_posix().encode() + b"\0")
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
+#: Digest of the code generators' own source (see :func:`_gen_digest`).
+GEN_DIGEST = _gen_digest()
+
+#: Marshalled code loads only on the interpreter version that wrote it.
+MAGIC = importlib.util.MAGIC_NUMBER.hex()
+
+
+class _Code:
+    """A compiled step module that pickles as its ``marshal`` bytes."""
+
+    __slots__ = ("code",)
+
+    def __init__(self, code: CodeType):
+        self.code = code
+
+    def __reduce__(self):
+        return _load_code, (marshal.dumps(self.code),)
+
+
+def _load_code(data: bytes) -> _Code:
+    """Unpickle side of :class:`_Code`: undecodable bytes raise
+    ValueError/EOFError/TypeError, which the store treats as a corrupt
+    entry (quarantined, recomputed)."""
+    code = marshal.loads(data)
+    if not isinstance(code, CodeType):
+        raise TypeError(f"marshalled step holds {type(code).__name__}, not code")
+    return _Code(code)
+
+
+def _compile(source: str, filename: str) -> _Code:
+    return _Code(compile(source, filename, "exec"))
+
+
+class _Codegen(NamedTuple):
+    """The ``codegen`` record: everything an entry needs, lane-count free."""
+
+    source: str
+    code: _Code
+    kinds: dict
+    resident: frozenset
+    pitch: int
+    footprint: _Marshal
+    dispatch: list
+
+
+class _Fold(NamedTuple):
+    """A ``fold`` record's accepted body (refusals persist as None)."""
+
+    module: Module
+    source: str
+    code: _Code
+    footprint: _Marshal
+
+
+def _through(tier, stage: str, extra: tuple, produce: Callable, adopt: Callable):
+    """The one read-through / write-through seam of batched codegen:
+    ``adopt(produce())`` memory-only, or via *tier* (the toolchain's
+    store view, see ``Toolchain.batch_simulator``) ``adopt`` a stored
+    record, producing and writing one through on a miss."""
+    if tier is None:
+        return adopt(produce())
+    return tier.through(stage, extra, produce, adopt)
 
 
 class _BatchEntry:
@@ -1588,23 +1687,39 @@ class _BatchEntry:
     Subclassable per engine: :meth:`_make_gen` picks the code generator
     and :meth:`_namespace` the exec environment, so the vector tier
     reuses the whole body/dispatch machinery with a different lowering.
+    With a store *tier* the generic step and every folded body are
+    read through / written through the artifact store.
     """
 
-    def __init__(self, module: Module, swar: bool = True):
+    def __init__(self, module: Module, swar: bool = True, tier=None):
         self.swar = swar
-        gen = self._make_gen(module)
-        self.kinds: dict[str, str] = dict(gen.kinds)
-        self.resident = gen.resident
-        self.source = gen.generate()
-        self.marshal = _Marshal(gen)
-        self.pitch = gen.pitch
-        namespace = self._namespace()
-        exec(compile(self.source, f"<hdl-batch:{module.name}>", "exec"), namespace)  # noqa: S102
-        self.factory: Callable[[int], Callable] = namespace["_make_batch_step"]
+        self.tier = tier
         self.steps: dict[int, Callable] = {}
-        self.dispatch = _dispatch_regs(module)
         #: combo -> per-lane-count factory, or None when folding was refused
         self.bodies: dict[tuple, _BatchEntry._Body | None] = {}
+        _through(tier, "codegen", (), lambda: self._generate(module), self._adopt)
+
+    def _generate(self, module: Module) -> _Codegen:
+        gen = self._make_gen(module)
+        source = gen.generate()
+        return _Codegen(
+            source, _compile(source, f"<hdl-batch:{module.name}>"), dict(gen.kinds),
+            gen.resident, gen.pitch, _Marshal.of(gen), _dispatch_regs(module),
+        )
+
+    def _adopt(self, rec: _Codegen) -> None:
+        self.factory: Callable[[int], Callable] = self._load(rec.code)
+        self.source = rec.source
+        self.kinds: dict[str, str] = rec.kinds
+        self.resident = rec.resident
+        self.pitch = rec.pitch
+        self.marshal = rec.footprint
+        self.dispatch = rec.dispatch
+
+    def _load(self, code: _Code) -> Callable[[int], Callable]:
+        namespace = self._namespace()
+        exec(code.code, namespace)  # noqa: S102
+        return namespace["_make_batch_step"]
 
     def _make_gen(
         self,
@@ -1618,13 +1733,12 @@ class _BatchEntry:
         return {"get_layout": get_layout}
 
     class _Body:
-        def __init__(self, module: Module, source: str, marshal: _Marshal,
-                     namespace: dict):
+        def __init__(self, module: Module, source: str, footprint: _Marshal,
+                     factory: Callable[[int], Callable]):
             self.module = module
             self.source = source
-            self.marshal = marshal
-            exec(compile(source, f"<hdl-batch:{module.name}:fold>", "exec"), namespace)  # noqa: S102
-            self.factory = namespace["_make_batch_step"]
+            self.marshal = footprint
+            self.factory = factory
             self.steps: dict[int, Callable] = {}
 
         def step(self, n: int) -> Callable:
@@ -1652,13 +1766,26 @@ class _BatchEntry:
         body: _BatchEntry._Body | None = None
         compiled = sum(1 for b in self.bodies.values() if b is not None)
         if binding and compiled < _MAX_BODIES:
-            folded = _fold_module(module, binding)
-            if len(folded.comb) <= _FOLD_THRESHOLD * max(len(module.comb), 1):
-                gen = self._make_gen(folded, pitch=self.pitch, resident=self.resident)
-                source = gen.generate()
-                body = self._Body(folded, source, _Marshal(gen), self._namespace())
+            body = _through(
+                self.tier, "fold", (combo,),
+                lambda: self._fold(module, binding), self._adopt_body,
+            )
         self.bodies[combo] = body
         return body
+
+    def _fold(self, module: Module, binding: dict[str, int]) -> _Fold | None:
+        folded = _fold_module(module, binding)
+        if len(folded.comb) > _FOLD_THRESHOLD * max(len(module.comb), 1):
+            return None
+        gen = self._make_gen(folded, pitch=self.pitch, resident=self.resident)
+        source = gen.generate()
+        code = _compile(source, f"<hdl-batch:{module.name}:fold>")
+        return _Fold(folded, source, code, _Marshal.of(gen))
+
+    def _adopt_body(self, rec: _Fold | None) -> _BatchEntry._Body | None:
+        if rec is None:
+            return None
+        return self._Body(rec.module, rec.source, rec.footprint, self._load(rec.code))
 
 
 def _cached_entry(module: Module, key: str, factory: Callable[[], _BatchEntry]) -> _BatchEntry:
@@ -1674,9 +1801,9 @@ def _cached_entry(module: Module, key: str, factory: Callable[[], _BatchEntry]) 
     return entry
 
 
-def _batch_entry(module: Module, swar: bool = True) -> _BatchEntry:
+def _batch_entry(module: Module, swar: bool = True, tier=None) -> _BatchEntry:
     return _cached_entry(
-        module, "swar" if swar else "batch", lambda: _BatchEntry(module, swar)
+        module, "swar" if swar else "batch", lambda: _BatchEntry(module, swar, tier)
     )
 
 

@@ -1098,8 +1098,8 @@ class _VectorEntry(_BatchEntry):
     alongside the swar/batch entries, sharing the body/dispatch
     machinery of :class:`~repro.hdl.batch._BatchEntry`)."""
 
-    def __init__(self, module: Module):
-        super().__init__(module, swar=True)
+    def __init__(self, module: Module, tier=None):
+        super().__init__(module, swar=True, tier=tier)
 
     def _make_gen(
         self,
@@ -1121,8 +1121,8 @@ class _VectorEntry(_BatchEntry):
         }
 
 
-def _vector_entry(module: Module) -> _VectorEntry:
-    return _cached_entry(module, "vector", lambda: _VectorEntry(module))
+def _vector_entry(module: Module, tier=None) -> _VectorEntry:
+    return _cached_entry(module, "vector", lambda: _VectorEntry(module, tier))
 
 
 # ------------------------------------------------------------- simulator

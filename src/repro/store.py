@@ -220,6 +220,11 @@ class ArtifactStore:
         self._bump("hits")
         return value
 
+    def discard(self, key: tuple) -> None:
+        """Quarantine *key*'s entry as corrupt: its payload unpickled but
+        the caller could not use it."""
+        self._quarantine(self.path_for(key), "corrupt")
+
     def _check(self, blob: bytes, path: Path) -> bytes | None:
         """Validate header + integrity; quarantine and return None on failure."""
         if len(blob) < _HEADER.size:

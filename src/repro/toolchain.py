@@ -31,6 +31,7 @@ import hashlib
 import os
 import sys
 import threading
+import weakref
 from collections import OrderedDict
 from collections.abc import Callable
 from typing import TypeVar
@@ -47,6 +48,7 @@ from repro.hdl import (
     emit_verilog as _emit_verilog,
     synthesize as _synthesize,
 )
+from repro.hdl import batch as _batch
 from repro.hdl.ir import Module
 from repro.hdl.passes import MAX_OPT_LEVEL, optimize as _optimize
 from repro.hdl.synth import CostReport
@@ -112,6 +114,44 @@ def source_key(source: Source) -> tuple:
     return ("object", UnstableKey(source))
 
 
+class _StoreTier:
+    """The artifact store as one batched-codegen entry sees it.
+
+    Keys are the entry's ``codegen`` key, restaged per record kind
+    (``("fold", *rest, combo)`` for a folded body).  A stored record is
+    adopted; a miss, or a record whose code fails to load (ValueError,
+    EOFError, TypeError: quarantined as corrupt), is produced afresh
+    and written through.  The entry outlives the toolchain that made
+    it, so the counters are reached through a weak reference.
+    """
+
+    def __init__(self, toolchain: Toolchain, key: tuple):
+        self.store = toolchain.store
+        self.key = key
+        self._bump = weakref.WeakMethod(toolchain.bump)
+
+    def _count(self, counter: str) -> None:
+        bump = self._bump()
+        if bump is not None:
+            bump(counter)
+
+    def through(self, stage: str, extra: tuple, produce: Callable, adopt: Callable):
+        key = (stage, *self.key[1:], *extra)
+        record = self.store.get(key, default=MISS)
+        if record is not MISS:
+            try:
+                value = adopt(record)
+            except (ValueError, EOFError, TypeError):
+                self.store.discard(key)
+            else:
+                self._count(f"store_hit:{stage}")
+                return value
+        self._count(f"store_miss:{stage}")
+        record = produce()
+        self.store.put(key, record)
+        return adopt(record)
+
+
 class Toolchain:
     """Facade over the full Sapper flow with keyed artifact caching.
 
@@ -124,8 +164,9 @@ class Toolchain:
     With *store* (an :class:`~repro.store.ArtifactStore`), stages whose
     keys are stable across processes (text/AST sources) gain a
     write-through / read-through persistent tier under the in-memory
-    LRU: a fresh process warm-starts from disk instead of recompiling,
-    and corrupt or stale entries fall back to recompute.  ``counters``
+    LRU: a fresh process warm-starts from disk instead of recompiling
+    (batched codegen included, see :meth:`batch_simulator`), and
+    corrupt or stale entries fall back to recompute.  ``counters``
     tracks per-stage memory hits/misses, store hits/misses, and
     request coalescing (bumped by the server's single-flight layer).
     """
@@ -359,25 +400,49 @@ class Toolchain:
         object, engine) pair -- the same structural key every other
         artifact here hangs off -- so repeated calls (randomized suites,
         the eval driver) compile once per engine, and compacted widths
-        re-enter the same per-lane-count cache.
+        re-enter the same per-lane-count cache.  With a store, the step
+        and the folded bodies are also persisted (``codegen`` and
+        ``fold`` stages, see :meth:`_prime_codegen`).
         """
         if engine is not None and engine not in ("auto", "batch", "swar", "vector"):
             raise ValueError(f"unknown batch engine {engine!r}")
         if engine == "auto":
             engine = auto_engine(lanes)
+        elif engine is None:
+            engine = "swar" if swar else "batch"
+        module = self.optimize(design)
+        self._prime_codegen(design, module, engine)
         if engine == "vector":
             from repro.hdl.vector import VectorSimulator
 
             return VectorSimulator(
-                self.optimize(design), lanes, optimize=False,
+                module, lanes, optimize=False,
                 retire_when=retire_when, majority=majority,
             )
-        if engine is not None:
-            swar = engine == "swar"
         return BatchSimulator(
-            self.optimize(design), lanes, optimize=False, swar=swar,
+            module, lanes, optimize=False, swar=engine == "swar",
             retire_when=retire_when, majority=majority,
         )
+
+    def _prime_codegen(self, design: Design, module: Module, engine: str) -> None:
+        """Build *module*'s batched entry for *engine* through the store
+        tier: the generic step as a ``codegen`` record, folded bodies as
+        lazily persisted ``fold`` records.  The key ends in the code
+        generators' source digest and the interpreter's bytecode magic,
+        so a stale record is never served.  Memory-only designs (no
+        store, or no structural key) build on first simulator use."""
+        tail = self._structural_tail(design)
+        if tail is None or self.store is None:
+            return
+        key = ("codegen", *tail, self.opt_level, engine, _batch.GEN_DIGEST, _batch.MAGIC)
+        tier = _StoreTier(self, key)
+        if engine == "vector":
+            from repro.hdl.vector import HAVE_NUMPY, _vector_entry
+
+            if HAVE_NUMPY:  # else VectorSimulator raises its install hint
+                _vector_entry(module, tier)
+        else:
+            _batch._batch_entry(module, engine == "swar", tier)
 
     def _backend_key(self, stage: str, design: Design) -> tuple:
         """Structural backend key when the design carries one, else the

@@ -155,6 +155,35 @@ class TestCertificate:
             design.module, sources
         )
 
+    @pytest.mark.parametrize("name", sorted(SAMPLES))
+    def test_analysis_builds_one_signal_graph(self, name):
+        """analyze_module hands its lint graph to compute_taint: one
+        graph build per analysis, and a report identical (findings and
+        certificate) to one whose certificate built its own graph."""
+        from unittest import mock
+
+        import repro.analyze.lint as lint
+        import repro.analyze.taint as taint
+
+        shared, separate = (compile_source(SAMPLES[name], name=name) for _ in range(2))
+        sources = default_taint_sources(shared)
+        builds = []
+
+        def counted(module):
+            builds.append(module.name)
+            return build_graph(module)
+
+        with mock.patch.object(lint, "build_graph", counted), \
+                mock.patch.object(taint, "build_graph", counted):
+            report = analyze_module(shared.module, sources)
+        assert len(builds) == 1
+        own_graph = lambda module, srcs, graph=None: compute_taint(module, srcs)
+        with mock.patch.object(lint, "compute_taint", own_graph):
+            reference = analyze_module(separate.module, sources)
+        assert report.findings == reference.findings
+        assert report.certificate == reference.certificate
+        assert report == reference
+
     def test_stats_census_is_consistent(self):
         design = compile_source(samples.TDMA, name="tdma")
         cert = compute_taint(design.module, default_taint_sources(design))

@@ -100,6 +100,24 @@ class TestCollect:
         assert got["ratios"] == {"warm_start_speedup": 6.1}
         assert "warm_start_ms" not in got["gates"]
 
+    def test_former_tier1_wall_clock_asserts_are_gated_ratios(self):
+        """The optimized-vs-raw margin and the SWAR/vector crossover
+        are recorded as ratios and gated here, not asserted in tier-1;
+        the per-point lane-cycle rates stay informational."""
+        keys = ("opt_speedup", "swar_over_vector_32", "vector_over_swar_512")
+        assert set(keys) <= set(check_regression.RATIO_KEYS)
+        doc = bench_json(
+            {"test_opt": 1e-6, "test_scaling": 1e-6},
+            extra={"test_opt": {"opt_speedup": 1.5},
+                   "test_scaling": {"swar_over_vector_32": 0.9,
+                                    "vector_over_swar_512": 3.4,
+                                    "swar_lcps_32": 140000}},
+        )
+        got = check_regression.collect(doc)
+        assert got["ratios"] == {"opt_speedup": 1.5, "swar_over_vector_32": 0.9,
+                                 "vector_over_swar_512": 3.4}
+        assert "swar_lcps_32" not in got["gates"]
+
     def test_fleet_speedup_is_a_gated_ratio(self):
         """The multiprocess fleet ratio gates like the other
         machine-relative speedups; its companion diagnostics

@@ -17,13 +17,18 @@ Three contracts are pinned here:
   rewritten with a fresh, loadable entry.
 """
 
+import builtins
+import marshal
 import os
+from contextlib import contextmanager
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.hdl import Simulator
+import repro.hdl.batch as batch_mod
+from repro.hdl import HAVE_NUMPY, Simulator
 from repro.lattice import two_level
 from repro.sapper import samples
 from repro.sapper.analysis import analyze
@@ -441,3 +446,192 @@ class TestConcurrentAccess:
         assert counters.get("store_hit:compile") == 1, counters
         assert counters.get("store_hit:optimize") == 1, counters
         assert tc3.store.counters["corrupt"] == 0
+
+
+# ---------------------------------------------------------------------------
+# The codegen tier: batched step modules (``codegen``) and state-folded
+# bodies (``fold``) persisted beside the compile/optimize artifacts.
+
+CODEGEN_ENGINES = ["swar", "batch"] + (["vector"] if HAVE_NUMPY else [])
+CODEGEN_STEPS = 300
+CODEGEN_LANES = 4
+
+
+def _codegen_run(tc, which, engine, steps=CODEGEN_STEPS):
+    """Source to *steps* cycles of a *which* ("tdma" or "proc")
+    batched simulator on *tc*; returns the simulator and its outputs."""
+    if which == "proc":
+        from repro.mips.assembler import assemble
+        from repro.proc.machine import compile_processor
+        from repro.workloads import ALL_WORKLOADS
+
+        design = compile_processor(two_level(), True, toolchain=tc)
+        sim = tc.batch_simulator(design, CODEGEN_LANES, engine=engine)
+        memory = assemble(ALL_WORKLOADS["specrand"].source).as_memory()
+        for lane in range(CODEGEN_LANES):
+            sim.load_array(lane, "memory", dict(memory))
+        inputs = None
+    else:
+        design = tc.compile(samples.TDMA, two_level(), name="tdma")
+        sim = tc.batch_simulator(design, CODEGEN_LANES, engine=engine)
+        inputs = [
+            {"hi_in": 3 + lane, "hi_in__tag": lane & 1, "lo_in": 2 * lane, "lo_in__tag": 0}
+            for lane in range(CODEGEN_LANES)
+        ]
+    return sim, [sim.step(inputs) for _ in range(steps)]
+
+
+def _bodies(sim):
+    return {combo: body and body.source for combo, body in sim._entry.bodies.items()}
+
+
+@contextmanager
+def _codegen_calls():
+    """Count batched emission (code generator construction), builtin
+    ``compile()`` and ``_fold_module`` calls inside the block."""
+    calls = {"emit": 0, "compile": 0, "fold": 0}
+    real_init, real_compile, real_fold = (
+        batch_mod._BatchCodeGen.__init__, builtins.compile, batch_mod._fold_module,
+    )
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    with mock.patch.object(batch_mod._BatchCodeGen, "__init__", counted("emit", real_init)), \
+            mock.patch.object(builtins, "compile", counted("compile", real_compile)), \
+            mock.patch.object(batch_mod, "_fold_module", counted("fold", real_fold)):
+        yield calls
+
+
+@pytest.fixture(scope="module")
+def codegen_env(tmp_path_factory):
+    """A store-less toolchain (the cold reference) and a writer
+    toolchain over a store directory, shared by the codegen-tier tests
+    so each design compiles once per side."""
+    root = tmp_path_factory.mktemp("codegen") / "store"
+    return Toolchain(), Toolchain(store=ArtifactStore(root)), root
+
+
+class _BadMarshal:
+    """Pickles like a stored step module whose marshal bytes are junk."""
+
+    def __reduce__(self):
+        return batch_mod._load_code, (b"\x00not marshal data",)
+
+
+class _NotCode:
+    """Pickles like a stored step module that marshals a non-code value."""
+
+    def __reduce__(self):
+        return batch_mod._load_code, (marshal.dumps(42),)
+
+
+class TestCodegenTier:
+    @pytest.mark.parametrize("engine", CODEGEN_ENGINES)
+    @pytest.mark.parametrize("which", ["tdma", "proc"])
+    def test_warm_simulator_matches_cold(self, codegen_env, which, engine):
+        """A simulator warm-started from the store runs no emission, no
+        compile() and no fold, and matches a store-less build bit for
+        bit per lane over 300 steps, folded bodies included, with
+        byte-identical generic and folded sources."""
+        cold, writer, root = codegen_env
+        cold_sim, cold_outs = _codegen_run(cold, which, engine)
+        _codegen_run(writer, which, engine)
+
+        warm = Toolchain(store=ArtifactStore(root))
+        with _codegen_calls() as calls:
+            warm_sim, warm_outs = _codegen_run(warm, which, engine)
+        assert calls == {"emit": 0, "compile": 0, "fold": 0}
+        counters = warm.counter_snapshot()
+        assert counters.get("store_hit:codegen") == 1, counters
+        assert counters.get("store_hit:fold", 0) >= 1, counters
+        assert "store_miss:codegen" not in counters and "store_miss:fold" not in counters
+
+        assert warm_outs == cold_outs
+        for lane in range(CODEGEN_LANES):
+            assert warm_sim.lane_regs(lane) == cold_sim.lane_regs(lane), lane
+        assert warm_sim.arrays == cold_sim.arrays
+        assert warm_sim.source == cold_sim.source
+        assert _bodies(warm_sim) == _bodies(cold_sim)
+        assert any(_bodies(warm_sim).values()), "no folded body ran"
+
+    def test_refused_binding_remembered_across_toolchains(self, codegen_env):
+        """The processor's (2,0,0,0) binding folds and is then refused
+        by the shrink threshold; a later toolchain reads the refusal
+        from the store instead of folding again."""
+        _cold, writer, root = codegen_env
+        _codegen_run(writer, "proc", "swar")
+        warm = Toolchain(store=ArtifactStore(root))
+        with _codegen_calls() as calls:
+            sim, _ = _codegen_run(warm, "proc", "swar")
+        refused = [combo for combo, body in sim._entry.bodies.items() if body is None]
+        assert refused, "expected a binding refused by the fold threshold"
+        assert calls["fold"] == 0
+        hits = warm.counter_snapshot().get("store_hit:fold", 0)
+        assert hits == len(sim._entry.bodies)
+
+    @pytest.mark.parametrize("name", ["GEN_DIGEST", "MAGIC"])
+    def test_generator_or_interpreter_change_misses(self, tmp_path, monkeypatch, name):
+        _codegen_run(_fresh_toolchain(tmp_path), "tdma", "swar", steps=4)
+        monkeypatch.setattr(batch_mod, name, "0" * len(getattr(batch_mod, name)))
+        warm = _fresh_toolchain(tmp_path)
+        _codegen_run(warm, "tdma", "swar", steps=4)
+        counters = warm.counter_snapshot()
+        assert counters.get("store_miss:codegen") == 1, counters
+        assert "store_hit:codegen" not in counters and "store_hit:fold" not in counters
+
+    @pytest.mark.parametrize("damage", ["bit-flip", "bad-marshal", "not-code", "exec-fails"])
+    def test_damaged_codegen_record_is_quarantined(self, tmp_path, damage):
+        """A damaged record is counted, quarantined and regenerated; the
+        step that runs is the regenerated one, never the damaged one."""
+        writer = _fresh_toolchain(tmp_path)
+        ref, ref_outs = _codegen_run(writer, "tdma", "swar", steps=20)
+        design = writer.compile(samples.TDMA, two_level(), name="tdma")
+        key = ("codegen", *design._structural_key, writer.opt_level, "swar",
+               batch_mod.GEN_DIGEST, batch_mod.MAGIC)
+        store = writer.store
+        path = store.path_for(key)
+        if damage == "bit-flip":
+            blob = bytearray(path.read_bytes())
+            blob[len(blob) // 2] ^= 0x40
+            path.write_bytes(bytes(blob))
+        else:
+            code = {
+                "bad-marshal": _BadMarshal(),
+                "not-code": _NotCode(),
+                "exec-fails": batch_mod._Code(compile("raise TypeError('x')", "<t>", "exec")),
+            }[damage]
+            store.put(key, store.get(key)._replace(code=code))
+
+        compiled, loaded = [], []
+        real_compile, real_load = batch_mod._compile, batch_mod._BatchEntry._load
+
+        def compile_spy(*args):
+            compiled.append(real_compile(*args))
+            return compiled[-1]
+
+        def load_spy(self, code):
+            loaded.append(code)
+            return real_load(self, code)
+
+        warm = _fresh_toolchain(tmp_path)
+        with mock.patch.object(batch_mod, "_compile", compile_spy), \
+                mock.patch.object(batch_mod._BatchEntry, "_load", load_spy):
+            sim, outs = _codegen_run(warm, "tdma", "swar", steps=20)
+        counters = warm.counter_snapshot()
+        assert counters.get("store_miss:codegen") == 1, counters
+        assert "store_hit:codegen" not in counters
+        assert warm.store.counters["corrupt"] == 1, warm.store.counters
+        assert path.with_suffix(".corrupt").exists() and path.exists()
+        assert sim._entry.factory.__code__ in compiled[0].code.co_consts, "damaged step ran"
+        if damage != "exec-fails":  # undecodable records never reach exec
+            assert loaded[0] is compiled[0]
+        assert outs == ref_outs and sim.source == ref.source
+
+        again = _fresh_toolchain(tmp_path)
+        _codegen_run(again, "tdma", "swar", steps=1)
+        assert again.counter_snapshot().get("store_hit:codegen") == 1
