@@ -394,6 +394,7 @@ def _cmd_stats(args: argparse.Namespace, tc: Toolchain) -> int:
         flag = "*" if stat.changed else " "
         print(f" {flag} {stat.name:10s} {stat.signals_before:6d} -> "
               f"{stat.signals_after:6d}  {stat.seconds * 1000:7.1f} ms")
+    print(f"fixpoint after {result.sweeps} sweeps")
     return 0
 
 

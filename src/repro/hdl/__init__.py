@@ -16,8 +16,9 @@ transform it.  Tooling:
   lowering to gate counts with a 90 nm-style cell library; area, critical
   path and power reports (our Design Compiler substitute).
 * :mod:`repro.hdl.passes` -- the shared mid-level optimization pipeline
-  (constant folding, CSE, mux/boolean simplification, dead-signal
-  elimination).  All three backends consume its output by default.
+  (one rewrite walk of constant folding, mux/boolean simplification and
+  CSE, width narrowing, dead-signal elimination, run to a fixpoint).
+  All three backends consume its output by default.
 * :mod:`repro.hdl.netlist` -- an exact gate-level netlist + simulator for
   small designs (used to demonstrate GLIFT executably).
 """

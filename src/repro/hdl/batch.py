@@ -83,6 +83,7 @@ from collections.abc import Callable, Sequence
 from typing import NamedTuple
 
 from repro.hdl.ir import HConst, HExpr, HOp, HRef, Module, significant_bits
+from repro.hdl.passes import PASSES_DIGEST
 from repro.hdl.passes.base import WeakIdMemo
 from repro.hdl.sim import _SIGNED_HELPER, _CodeGen, nests_within
 from repro.hdl.swar import SWAR_MAX_WIDTH, get_layout
@@ -1605,13 +1606,13 @@ class _Marshal(NamedTuple):
 
 def _gen_digest() -> str:
     """SHA-256 over the source of every module that shapes generated
-    step code: the IR, the scalar and batched code generators, and the
-    pass pipeline (which shapes the folded bodies)."""
+    step code: the scalar and batched code generators, plus the pass
+    pipeline and IR (which shape the folded bodies) via
+    :data:`~repro.hdl.passes.PASSES_DIGEST`."""
     hdl = Path(__file__).resolve().parent
-    paths = [hdl / f"{name}.py" for name in ("ir", "sim", "swar", "batch", "vector")]
-    paths += sorted((hdl / "passes").glob("*.py"))
-    digest = hashlib.sha256()
-    for path in paths:
+    digest = hashlib.sha256(PASSES_DIGEST.encode())
+    for name in ("sim", "swar", "batch", "vector"):
+        path = hdl / f"{name}.py"
         digest.update(path.relative_to(hdl).as_posix().encode() + b"\0")
         digest.update(path.read_bytes())
     return digest.hexdigest()

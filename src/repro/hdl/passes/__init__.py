@@ -5,12 +5,13 @@ simulator, the gate-count synthesizer, and the Verilog emitter -- so
 the redundant tag-join and mux logic the Sapper compiler emits is paid
 for once, here, instead of three times downstream.
 
-* :class:`ConstantFold` -- fold constant operators, propagate constants
-  and aliases (bit-exact with the simulator's semantics);
-* :class:`SimplifyLogic` -- mux/boolean/algebraic identities
-  (``mux(c, x, x)``, ``x & 0``, constant guards, ...);
-* :class:`CommonSubexpr` -- value numbering of duplicated tag joins,
-  Fcd upgrades, and forwarding comparisons;
+* :class:`Rewrite` -- one walk that folds constant operators
+  (bit-exact with the simulator's semantics), propagates constants and
+  aliases, applies mux/boolean/algebraic identities (``mux(c, x, x)``,
+  ``x & 0``, constant guards, ...) and value-numbers duplicated tag
+  joins, Fcd upgrades, and forwarding comparisons;
+* :class:`NarrowWidths` -- shrink provably-narrow operators below the
+  SWAR width boundary;
 * :class:`DeadSignalElim` -- drop signals that feed no register
   next-value, array port, or output; prune never-firing write ports.
 
@@ -19,6 +20,9 @@ every backend sees the same optimized object without re-running passes.
 """
 
 from __future__ import annotations
+
+import hashlib
+from pathlib import Path
 
 from repro.hdl.ir import Module
 from repro.hdl.passes.base import (
@@ -29,24 +33,37 @@ from repro.hdl.passes.base import (
     WeakIdMemo,
     rebuild,
 )
-from repro.hdl.passes.constfold import ConstantFold, eval_op
-from repro.hdl.passes.cse import CommonSubexpr
 from repro.hdl.passes.dce import DeadSignalElim
 from repro.hdl.passes.narrow import NarrowWidths
-from repro.hdl.passes.simplify import SimplifyLogic
+from repro.hdl.passes.rewrite import Rewrite, eval_op
+
+def _passes_digest() -> str:
+    """SHA-256 over the source that shapes an optimized module: the IR
+    and every pass."""
+    hdl = Path(__file__).resolve().parent.parent
+    digest = hashlib.sha256()
+    for path in [hdl / "ir.py", *sorted((hdl / "passes").glob("*.py"))]:
+        digest.update(path.relative_to(hdl).as_posix().encode() + b"\0")
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
+#: Digest of the pass pipeline's own source (see :func:`_passes_digest`);
+#: persisted optimized modules and their backend artifacts key on it.
+PASSES_DIGEST = _passes_digest()
 
 #: Highest supported optimization level.
 MAX_OPT_LEVEL = 2
 
 
 def default_passes(level: int = MAX_OPT_LEVEL) -> list[Pass]:
-    """The standard pipeline for *level* (0 = none, 1 = fold+dce, 2 = full)."""
+    """The standard pipeline for *level* (0 = none, 1 = rewrite+dce,
+    2 = rewrite+narrow+dce)."""
     if level <= 0:
         return []
     if level == 1:
-        return [ConstantFold(), DeadSignalElim()]
-    return [ConstantFold(), NarrowWidths(), SimplifyLogic(), CommonSubexpr(),
-            DeadSignalElim()]
+        return [Rewrite(), DeadSignalElim()]
+    return [Rewrite(), NarrowWidths(), DeadSignalElim()]
 
 
 # raw module -> {level: optimized module}
@@ -85,16 +102,15 @@ def run_pipeline(module: Module, level: int = MAX_OPT_LEVEL) -> OptResult:
 
 
 __all__ = [
-    "CommonSubexpr",
-    "ConstantFold",
     "DeadSignalElim",
     "MAX_OPT_LEVEL",
     "NarrowWidths",
     "OptResult",
+    "PASSES_DIGEST",
     "Pass",
     "PassManager",
     "PassStat",
-    "SimplifyLogic",
+    "Rewrite",
     "default_passes",
     "eval_op",
     "optimize",

@@ -111,6 +111,8 @@ class OptResult:
 
     module: Module
     stats: list[PassStat] = field(default_factory=list)
+    #: Sweeps run, the last of which changed nothing.
+    sweeps: int = 0
 
     @property
     def signals_removed(self) -> int:
@@ -120,22 +122,25 @@ class OptResult:
 
 
 class PassManager:
-    """Runs an ordered pass pipeline, iterating until nothing changes.
+    """Runs an ordered pass pipeline to a fixpoint.
 
-    Each iteration applies every pass once, in order; iteration stops as
-    soon as a full sweep makes no change (or after *max_iters* sweeps --
-    the passes all shrink or preserve the module, so this terminates
-    quickly in practice).
+    Each sweep applies every pass once, in order; the run stops after
+    the first sweep that changes nothing.  A pipeline still changing the
+    module after *max_sweeps* sweeps does not converge, which is a bug in
+    some pass: it raises :class:`RuntimeError` naming the module and the
+    passes that changed in the last sweep.
     """
 
-    def __init__(self, passes: Sequence[Pass], max_iters: int = 4):
+    def __init__(self, passes: Sequence[Pass], max_sweeps: int = 16):
         self.passes = list(passes)
-        self.max_iters = max_iters
+        self.max_sweeps = max_sweeps
 
     def run(self, module: Module) -> OptResult:
         result = OptResult(module)
-        for _ in range(self.max_iters):
-            sweep_changed = False
+        changed_by: list[str] = []
+        while result.sweeps < self.max_sweeps:
+            result.sweeps += 1
+            changed_by = []
             for p in self.passes:
                 before = len(module.comb)
                 t0 = time.perf_counter()
@@ -149,9 +154,15 @@ class PassManager:
                         changed=changed,
                     )
                 )
-                sweep_changed = sweep_changed or changed
-            if not sweep_changed:
+                if changed:
+                    changed_by.append(p.name)
+            if not changed_by:
                 break
+        if changed_by:
+            raise RuntimeError(
+                f"{module.name}: pass pipeline did not converge in "
+                f"{self.max_sweeps} sweeps; still changing: {', '.join(changed_by)}"
+            )
         module.validate()
         result.module = module
         return result

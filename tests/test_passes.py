@@ -1,7 +1,8 @@
 """Unit and property tests for the HDL optimization pipeline.
 
-Covers each pass in isolation (constant folding, mux/boolean
-simplification, CSE, dead-signal elimination), the pipeline's
+Covers each pass in isolation (the rewrite walk's constant folding,
+mux/boolean simplification and value numbering, width narrowing,
+dead-signal elimination), the pipeline's fixpoint, its
 architectural-equivalence contract on sample designs, the memoization
 of :func:`repro.hdl.passes.optimize`, and the GLIFT shadow-taint
 invariance property: bit-blasting an optimized module must yield the
@@ -17,19 +18,22 @@ from repro.glift import GliftSimulator
 from repro.hdl import HConst, HOp, HRef, Module, Simulator
 from repro.hdl.netlist import bit_blast
 from repro.hdl.passes import (
-    CommonSubexpr,
-    ConstantFold,
     DeadSignalElim,
     NarrowWidths,
     PassManager,
-    SimplifyLogic,
+    Rewrite,
     default_passes,
     optimize,
     run_pipeline,
 )
 from repro.lattice import two_level
+from repro.proc.machine import compile_processor
 from repro.sapper import samples
+from repro.sapper.analysis import analyze
 from repro.sapper.compiler import compile_program
+from repro.toolchain import get_toolchain
+
+from tests import strategies
 
 
 def find(module: Module, name: str):
@@ -44,7 +48,7 @@ class TestConstantFold:
         m = Module("t")
         m.assign("a", HOp("add", (HConst(3, 8), HConst(4, 8)), 8))
         m.set_output("y", HRef("a", 8))
-        out, changed = ConstantFold().run(m)
+        out, changed = Rewrite().run(m)
         assert changed and find(out, "a") == HConst(7, 8)
 
     def test_propagates_through_refs(self):
@@ -52,7 +56,7 @@ class TestConstantFold:
         m.assign("a", HOp("add", (HConst(1, 8), HConst(1, 8)), 8))
         m.assign("b", HOp("mul", (HRef("a", 8), HConst(3, 8)), 8))
         m.set_output("y", HRef("b", 8))
-        out, _ = ConstantFold().run(m)
+        out, _ = Rewrite().run(m)
         assert find(out, "b") == HConst(6, 8)
 
     def test_division_by_zero_convention(self):
@@ -61,7 +65,7 @@ class TestConstantFold:
         m.assign("r", HOp("mod", (HConst(9, 8), HConst(0, 8)), 8))
         m.set_output("q", HRef("q", 8))
         m.set_output("r", HRef("r", 8))
-        out, _ = ConstantFold().run(m)
+        out, _ = Rewrite().run(m)
         assert find(out, "q") == HConst(0xFF, 8)  # all-ones, like the sim
         assert find(out, "r") == HConst(9, 8)     # the dividend
 
@@ -70,7 +74,7 @@ class TestConstantFold:
         x = m.add_input("x", 8)
         m.assign("a", HOp("mux", (HConst(1, 1), x, HConst(0, 8)), 8))
         m.set_output("y", HRef("a", 8))
-        out, _ = ConstantFold().run(m)
+        out, _ = Rewrite().run(m)
         assert find(out, "a") == x
 
     def test_never_folds_array_reads(self):
@@ -78,13 +82,13 @@ class TestConstantFold:
         m.add_array("ram", 8, 16)
         m.assign("a", HOp("read", (HConst(3, 4),), 8, array="ram"))
         m.set_output("y", HRef("a", 8))
-        out, _ = ConstantFold().run(m)
+        out, _ = Rewrite().run(m)
         assert isinstance(find(out, "a"), HOp)
 
 
 class TestSimplify:
     def simplify(self, m):
-        out, _ = SimplifyLogic().run(m)
+        out, _ = Rewrite().run(m)
         return out
 
     def test_mux_same_arms(self):
@@ -171,7 +175,7 @@ class TestCse:
         m.assign("b", HOp("add", (x, y), 8))
         m.assign("c", HOp("mul", (HRef("a", 8), HRef("b", 8)), 8))
         m.set_output("y0", HRef("c", 8))
-        out, changed = CommonSubexpr().run(m)
+        out, changed = Rewrite().run(m)
         assert changed
         assert find(out, "b") == HRef("a", 8)
         # uses of b are redirected to a
@@ -185,8 +189,22 @@ class TestCse:
         m.assign("b", HOp("mul", (HOp("add", (x, y), 8), x), 8))
         m.set_output("y0", HRef("b", 8))
         m.set_output("y1", HRef("a", 8))
-        out, _ = CommonSubexpr().run(m)
+        out, _ = Rewrite().run(m)
         assert find(out, "b") == HOp("mul", (HRef("a", 8), x), 8)
+
+    def test_rule_made_alias_is_numbered_in_the_same_walk(self):
+        m = Module("t")
+        c = m.add_input("c", 1)
+        x = m.add_input("x", 8)
+        m.assign("a", HOp("add", (x, HConst(1, 8)), 8))
+        m.assign("b", HOp("mux", (c, HRef("a", 8), HRef("a", 8)), 8))
+        m.assign("d", HOp("mul", (HRef("b", 8), x), 8))
+        m.assign("e", HOp("mul", (HRef("a", 8), x), 8))
+        m.set_output("y", HRef("e", 8))
+        out, _ = Rewrite().run(m)
+        assert find(out, "b") == HRef("a", 8)
+        assert find(out, "d") == HOp("mul", (HRef("a", 8), x), 8)
+        assert find(out, "e") == HRef("d", 8)
 
 
 class TestNarrowWidths:
@@ -333,9 +351,7 @@ class TestPipeline:
         result = run_pipeline(design.module)
         assert len(result.module.comb) < len(design.module.comb)
         assert result.signals_removed > 0
-        assert {s.name for s in result.stats} == {
-            "constfold", "narrow", "simplify", "cse", "dce"
-        }
+        assert {s.name for s in result.stats} == {"rewrite", "narrow", "dce"}
 
     def test_optimize_is_memoized_and_idempotent(self):
         lat = two_level()
@@ -348,13 +364,67 @@ class TestPipeline:
     def test_levels(self):
         assert default_passes(0) == []
         assert len(default_passes(1)) == 2
-        assert len(default_passes(2)) == 5
+        assert len(default_passes(2)) == 3
 
     def test_validates_output(self):
         lat = two_level()
         design = compile_program(samples.ADDER_CHECK, lat, name="a")
         out = PassManager(default_passes()).run(design.module).module
         out.validate()  # must not raise
+
+
+class _Toggle:
+    """A toy pass that flips one named signal between two definitions."""
+
+    def __init__(self, name, src, dst):
+        self.name, self.src, self.dst = name, src, dst
+
+    def run(self, module):
+        comb = [(n, self.dst if e == self.src else e) for n, e in module.comb]
+        if comb == module.comb:
+            return module, False
+        out = Module(module.name, dict(module.inputs), dict(module.outputs))
+        out.comb = comb
+        return out, True
+
+
+class TestFixpoint:
+    """The pipeline runs until a sweep changes nothing, and says so
+    loudly when it cannot get there."""
+
+    @staticmethod
+    def assert_fixpoint(module):
+        again = run_pipeline(module)
+        assert [s.name for s in again.stats if s.changed] == []
+        assert again.sweeps == 1
+
+    def test_passes_that_undo_each_other_raise(self):
+        m = Module("toy")
+        x = m.add_input("x", 8)
+        plus, minus = HOp("add", (x, HConst(1, 8)), 8), HOp("sub", (x, HConst(1, 8)), 8)
+        m.assign("a", plus)
+        m.set_output("y", HRef("a", 8))
+        pm = PassManager([_Toggle("up", plus, minus), _Toggle("down", minus, plus)])
+        with pytest.raises(RuntimeError, match=r"toy: .*did not converge.*up, down"):
+            pm.run(m)
+
+    def test_tdma_is_a_fixpoint(self):
+        design = compile_program(samples.TDMA, two_level(), name="tdma")
+        result = run_pipeline(design.module)
+        assert result.sweeps >= 2
+        self.assert_fixpoint(result.module)
+
+    def test_processor_is_a_fixpoint(self):
+        opt = get_toolchain().optimize(compile_processor())
+        assert len(opt.comb) <= 7023
+        self.assert_fixpoint(opt)
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.one_of(strategies.programs(), strategies.wide_programs()), st.booleans())
+    def test_random_programs_reach_a_fixpoint(self, program, secure):
+        lat = two_level()
+        design = compile_program(analyze(program, lat), lat, secure=secure, name="rand")
+        self.assert_fixpoint(run_pipeline(design.module).module)
 
 
 class TestGliftInvariance:

@@ -28,6 +28,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro.hdl.batch as batch_mod
+import repro.hdl.passes as passes_mod
 from repro.hdl import HAVE_NUMPY, Simulator
 from repro.lattice import two_level
 from repro.sapper import samples
@@ -201,6 +202,26 @@ class TestRoundTripProperty:
         counters = reader.counter_snapshot()
         assert counters.get("store_hit:synth") == 1
         assert counters.get("store_hit:verilog") == 1
+
+    def test_pass_pipeline_change_misses(self, tmp_path, monkeypatch):
+        """Optimized modules and the backend artifacts built from them key
+        on the pass pipeline's source digest: a store written by another
+        pipeline never serves its module, report or Verilog."""
+        writer = _fresh_toolchain(tmp_path)
+        design = writer.compile(samples.TDMA, two_level(), name="tdma")
+        writer.synthesize(design)
+        writer.verilog(design)
+        monkeypatch.setattr(passes_mod, "PASSES_DIGEST", "0" * len(passes_mod.PASSES_DIGEST))
+
+        warm = _fresh_toolchain(tmp_path)
+        design_w = warm.compile(samples.TDMA, two_level(), name="tdma")
+        warm.synthesize(design_w)
+        warm.verilog(design_w)
+        counters = warm.counter_snapshot()
+        assert counters.get("store_hit:compile") == 1, counters
+        assert counters.get("store_miss:optimize") == 1, counters
+        for stage in ("optimize", "synth", "verilog"):
+            assert f"store_hit:{stage}" not in counters, counters
 
     def test_object_keyed_sources_stay_out_of_the_store(self, tmp_path):
         tc = _fresh_toolchain(tmp_path)
