@@ -38,10 +38,9 @@ EPS = 1e-9
 #: extra_info keys treated as machine-independent gate counts
 GATE_KEYS = ("gates_raw", "gates_optimized", "dff_optimized", "levels_optimized")
 #: extra_info keys treated as machine-relative ratios (bigger is better)
-RATIO_KEYS = ("batch_speedup", "swar_speedup", "compaction_speedup",
-              "vector_speedup", "warm_start_speedup", "fleet_speedup",
-              "tag_prune_ratio", "opt_speedup", "swar_over_vector_32",
-              "vector_over_swar_512")
+RATIO_KEYS = ("batch_speedup", "compaction_speedup", "vector_speedup",
+              "warm_start_speedup", "fleet_efficiency", "tag_prune_ratio",
+              "opt_speedup", "swar_over_vector_32", "vector_over_swar_512")
 
 
 def collect(bench_json: dict) -> dict:

@@ -16,8 +16,9 @@ with ``--lanes``, ``port=v0,v1,...`` drives one value per lane)
 and prints the output ports each cycle plus a violation summary;
 ``--lanes N`` advances N independent machine states per cycle through
 the lane-batched simulator (bit-identical to N scalar runs), and
-``--engine {scalar,batch,swar,vector}`` pins the simulation engine
-(``auto`` picks scalar at one lane, the SWAR wide-word engine for
+``--engine {scalar,swar,vector}`` pins the simulation engine
+(``auto`` picks scalar at one lane, otherwise
+:func:`~repro.toolchain.auto_engine`: the SWAR wide-word engine for
 small batches, and the NumPy vector engine -- when NumPy is
 installed -- from 64 lanes up, where its ufunc amortization wins).
 ``--compact`` (default; disable with ``--no-compact``) retires lanes
@@ -27,7 +28,7 @@ full occupancy, and stops early once every lane has halted -- and the
 summary reports active lane-cycles and the final occupancy::
 
     python -m repro simulate design.sapper -n 100 --lanes 8 --quiet
-    python -m repro simulate design.sapper -n 100 --lanes 8 --engine batch
+    python -m repro simulate design.sapper -n 100 --lanes 8 --engine swar
     python -m repro simulate design.sapper -n 100 --lanes 8 --no-compact
 
 ``check`` runs the static analyzer (:mod:`repro.analyze`): design-lint
@@ -63,20 +64,9 @@ from collections.abc import Sequence
 
 from repro.lattice import Lattice, diamond, two_level
 from repro.store import ArtifactStore, StoreError
-from repro.toolchain import Toolchain
+from repro.toolchain import BATCH_ENGINES, Toolchain, auto_engine
 
 _LATTICES = {"two": two_level, "diamond": diamond}
-
-#: Lane count from which ``--engine auto`` prefers the NumPy vector
-#: engine: measured on the secure processor, the ufunc-amortized tier
-#: overtakes SWAR lane packing between 32 and 128 lanes.
-_VECTOR_AUTO_LANES = 64
-
-
-def _have_numpy() -> bool:
-    from repro.hdl.vector import HAVE_NUMPY
-
-    return HAVE_NUMPY
 
 
 def _positive_int(text: str) -> int:
@@ -127,16 +117,15 @@ def _build_parser() -> argparse.ArgumentParser:
                           "are bit-identical to --shards 1; default: 1, "
                           "in-process)")
     sim.add_argument("--engine",
-                     choices=["auto", "scalar", "batch", "swar", "vector"],
+                     choices=["auto", "scalar", *BATCH_ENGINES],
                      default="auto",
                      help="simulation engine: 'scalar' (one Simulator per "
-                          "run, --lanes 1 only), 'batch' (lane-packed tags "
-                          "+ per-lane datapath, the pre-SWAR engine), "
-                          "'swar' (adds guard-banded wide-word lane "
-                          "packing), 'vector' (NumPy uint64 lane arrays; "
-                          "needs numpy), or 'auto' (scalar at 1 lane, swar "
-                          "for small batches, vector from 64 lanes when "
-                          "numpy is available; default)")
+                          "run, --lanes 1 only), 'swar' (lane-packed tags "
+                          "+ guard-banded wide-word lane packing), 'vector' "
+                          "(NumPy uint64 lane arrays; needs numpy), or "
+                          "'auto' (scalar at 1 lane, swar for small "
+                          "batches, vector from 64 lanes when numpy is "
+                          "available; default)")
     sim.add_argument("--compact", action=argparse.BooleanOptionalAction, default=True,
                      help="retire lanes whose 'halted' output fires and repack "
                           "the batch to the survivors (lane compaction), "
@@ -238,47 +227,37 @@ def _cmd_compile(args: argparse.Namespace, tc: Toolchain) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace, tc: Toolchain) -> int:
-    from repro.hdl import BatchSimulator, Simulator
+    from repro.hdl import BatchSimulator, Simulator, vector
 
     design, _ = _design(args, tc)
     inputs = _parse_inputs(args.input)
     engine = args.engine
     if engine == "auto":
-        if args.lanes <= 1:
-            engine = "scalar"
-        elif args.lanes >= _VECTOR_AUTO_LANES and _have_numpy():
-            engine = "vector"  # ufunc amortization beats lane packing
-        else:
-            engine = "swar"
+        engine = "scalar" if args.lanes <= 1 else auto_engine(args.lanes)
     if engine == "scalar" and args.lanes > 1:
         raise SystemExit(
             f"--engine scalar supports --lanes 1 only (got {args.lanes}); "
-            "use --engine batch, swar, or vector"
+            f"use --engine {' or '.join(BATCH_ENGINES)}"
         )
     if engine == "scalar" and any(isinstance(v, list) for v in inputs.values()):
         raise SystemExit(
             "per-lane input lists (PORT=V0,V1,...) need the batched engine; "
             "pass --lanes N"
         )
-    if engine == "vector" and not _have_numpy():
-        from repro.hdl.vector import _NUMPY_HINT
-
-        raise SystemExit(_NUMPY_HINT)
+    if engine == "vector" and not vector.HAVE_NUMPY:
+        raise SystemExit(vector._NUMPY_HINT)
     if args.shards > 1:
         if engine == "scalar":
             raise SystemExit("--shards needs the batched engine; pass --lanes N (N > 1)")
         if args.no_opt:
             raise SystemExit("--shards shares optimized artifacts; drop --no-opt")
         return _simulate_sharded(args, tc, engine, inputs)
-    if engine in ("batch", "swar", "vector"):
+    if engine in BATCH_ENGINES:
         if args.no_opt:
             if engine == "vector":
-                from repro.hdl import VectorSimulator
-
-                sim = VectorSimulator(design.module, args.lanes, optimize=False)
+                sim = vector.VectorSimulator(design.module, args.lanes, optimize=False)
             else:
-                sim = BatchSimulator(design.module, args.lanes, optimize=False,
-                                     swar=engine == "swar")
+                sim = BatchSimulator(design.module, args.lanes, optimize=False)
         else:
             sim = tc.batch_simulator(design, args.lanes, engine=engine)
         lane_stim = _lane_stimulus(inputs, args.lanes)

@@ -63,7 +63,7 @@ from repro.proc.machine import (
     compile_processor,
 )
 from repro.store import ArtifactStore, coerce_store
-from repro.toolchain import Toolchain, auto_engine
+from repro.toolchain import Toolchain, auto_engine, check_engine
 
 __all__ = [
     "FleetError",
@@ -619,7 +619,8 @@ class FleetRunner:
     warm-up (store read + batched codegen) is paid once.  *store*
     accepts an :class:`ArtifactStore`, a directory path, or ``None``
     (a private temporary store).  *lanes_per_worker* bounds each
-    worker's wave width; *engine* pins the batched engine (default:
+    worker's wave width; *engine* pins one of
+    :data:`~repro.toolchain.BATCH_ENGINES` (default or ``"auto"``:
     automatic per wave width).  ``capture_state=True`` returns
     :class:`FleetWorkloadResult` with final registers and arrays.
 
@@ -648,8 +649,7 @@ class FleetRunner:
             raise ValueError(f"shards must be >= 1, got {shards}")
         if lanes_per_worker < 1:
             raise ValueError(f"lanes_per_worker must be >= 1, got {lanes_per_worker}")
-        if engine not in (None, "batch", "swar", "vector"):
-            raise ValueError(f"unknown batch engine {engine!r}")
+        check_engine(engine)
         self.shards = shards
         self.lanes_per_worker = lanes_per_worker
         self.engine = engine

@@ -69,6 +69,19 @@ Design = CompiledDesign | Module
 #: engine overtakes SWAR lane packing between 32 and 128 lanes.
 VECTOR_AUTO_LANES = 64
 
+#: The batched simulation engines, by name (``"auto"`` picks one of
+#: them, see :func:`auto_engine`).
+BATCH_ENGINES = ("swar", "vector")
+
+
+def check_engine(engine: str | None) -> None:
+    """Raise ValueError unless *engine* is None, ``"auto"`` or one of
+    :data:`BATCH_ENGINES`."""
+    if engine not in (None, "auto", *BATCH_ENGINES):
+        raise ValueError(
+            f"unknown batch engine {engine!r}; valid engines: auto, {', '.join(BATCH_ENGINES)}"
+        )
+
 
 def auto_engine(lanes: int) -> str:
     """The batched engine automatic selection picks for *lanes* lanes:
@@ -375,28 +388,23 @@ class Toolchain:
         self,
         design: Design,
         lanes: int,
-        swar: bool = True,
         retire_when: Callable[[BatchSimulator, int], bool] | None = None,
-        majority: bool = True,
         engine: str | None = None,
     ) -> BatchSimulator:
         """A fresh-state *lane-batched* simulator over the (shared)
         optimized module: one vectorized step advances *lanes* independent
         machine states, each bit-identical to :meth:`simulator`.
 
-        *engine* names the generation directly: ``"batch"`` (two-tier
-        packed/per-lane), ``"swar"`` (guard-banded wide-word lane
-        packing), ``"vector"`` (NumPy uint64 lane arrays; needs
-        NumPy), or ``"auto"`` (:func:`auto_engine`: vector from
+        *engine* names one of :data:`BATCH_ENGINES`: ``"swar"``
+        (guard-banded wide-word lane packing, the default) or
+        ``"vector"`` (NumPy uint64 lane arrays; needs NumPy); ``"auto"``
+        defers to :func:`auto_engine` (vector from
         :data:`VECTOR_AUTO_LANES` lanes when NumPy is importable, swar
-        below).  When *engine* is None the legacy *swar* flag selects
-        between the first two.  *retire_when* installs a lane-retirement
-        predicate (``(sim, lane) -> bool``) driving automatic lane
-        compaction in :meth:`BatchSimulator.run`; *majority* toggles
-        majority-cohort dispatch (split the batch by dominant
-        control-register binding, specialized body for the majority).
-        The batched step function, its per-lane-count factories, and any
-        state-specialized fast-path bodies are cached per (module
+        below).  Any other name raises ValueError.  *retire_when*
+        installs a lane-retirement predicate (``(sim, lane) -> bool``)
+        driving automatic lane compaction in :meth:`BatchSimulator.run`.
+        The batched step function, its per-lane-count factories, and
+        any state-specialized fast-path bodies are cached per (module
         object, engine) pair -- the same structural key every other
         artifact here hangs off -- so repeated calls (randomized suites,
         the eval driver) compile once per engine, and compacted widths
@@ -404,25 +412,18 @@ class Toolchain:
         and the folded bodies are also persisted (``codegen`` and
         ``fold`` stages, see :meth:`_prime_codegen`).
         """
-        if engine is not None and engine not in ("auto", "batch", "swar", "vector"):
-            raise ValueError(f"unknown batch engine {engine!r}")
+        check_engine(engine)
         if engine == "auto":
             engine = auto_engine(lanes)
         elif engine is None:
-            engine = "swar" if swar else "batch"
+            engine = "swar"
         module = self.optimize(design)
         self._prime_codegen(design, module, engine)
         if engine == "vector":
             from repro.hdl.vector import VectorSimulator
 
-            return VectorSimulator(
-                module, lanes, optimize=False,
-                retire_when=retire_when, majority=majority,
-            )
-        return BatchSimulator(
-            module, lanes, optimize=False, swar=engine == "swar",
-            retire_when=retire_when, majority=majority,
-        )
+            return VectorSimulator(module, lanes, optimize=False, retire_when=retire_when)
+        return BatchSimulator(module, lanes, optimize=False, retire_when=retire_when)
 
     def _prime_codegen(self, design: Design, module: Module, engine: str) -> None:
         """Build *module*'s batched entry for *engine* through the store
@@ -442,7 +443,7 @@ class Toolchain:
             if HAVE_NUMPY:  # else VectorSimulator raises its install hint
                 _vector_entry(module, tier)
         else:
-            _batch._batch_entry(module, engine == "swar", tier)
+            _batch._batch_entry(module, tier)
 
     def _backend_key(self, stage: str, design: Design) -> tuple:
         """Structural backend key when the design carries one, else the

@@ -396,10 +396,10 @@ class TestWidthValidate:
 
 
 class TestTrackerPrune:
-    def fresh(self, lanes=4, swar=False):
+    def fresh(self, lanes=4):
         design = compile_source(samples.TDMA, name="tdma")
         module = design.module
-        sim = BatchSimulator(module, lanes, optimize=False, swar=swar)
+        sim = BatchSimulator(module, lanes, optimize=False)
         return design, module, sim
 
     def test_attach_reports_prune_and_keeps_bits_identical(self):
@@ -465,8 +465,7 @@ class TestTrackerPrune:
         for _ in range(12):
             shadow.step(encode_inputs(design, {k: (v, "L") for k, v in stim.items()}))
         sims = [
-            BatchSimulator(module, 2, optimize=False, swar=False),
-            BatchSimulator(module, 2, optimize=False, swar=True),
+            BatchSimulator(module, 2, optimize=False),
             VectorSimulator(module, 2, optimize=False),
         ]
         for sim in sims:

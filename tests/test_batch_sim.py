@@ -7,10 +7,13 @@ registers), array contents (including ``__tags`` shadow stores), and
 output-port values of N scalar :class:`~repro.hdl.sim.Simulator` runs
 over the same module -- for random programs, random lane counts, and
 random per-lane stimulus, on both the generic engine and the
-uniform-state specialized fast path.
+uniform-state specialized fast path.  Every step takes exactly one of
+those two paths: ``uniform_steps + generic_steps == cycles``.
 """
 
+import ast
 from itertools import accumulate
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -18,6 +21,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.hdl import HAVE_NUMPY, BatchSimulator, Simulator
+from repro.hdl import batch as batch_mod
 from repro.hdl.batch import _BatchCodeGen
 from repro.hdl.ir import HConst, HOp, HRef, Module
 from repro.hdl.passes import optimize
@@ -49,13 +53,17 @@ def assert_lanes_match_scalars(module, batch, sims, cycle):
                 )
 
 
-def run_lockstep(design, traces, cycles, swar=True, majority_fraction=None):
+def assert_one_path_per_step(batch):
+    """Every step ran the folded body or the generic step, nothing else."""
+    assert batch.uniform_steps + batch.generic_steps == batch.cycles
+    assert batch.split_steps == 0
+
+
+def run_lockstep(design, traces, cycles):
     """Drive a batch and per-lane scalar sims with identical stimulus."""
     module = design.module
     lanes = len(traces)
-    batch = BatchSimulator(module, lanes, swar=swar)
-    if majority_fraction is not None:
-        batch.majority_fraction = majority_fraction
+    batch = BatchSimulator(module, lanes)
     sims = [Simulator(module) for _ in range(lanes)]
     for cycle in range(cycles):
         lane_inputs = [
@@ -66,6 +74,7 @@ def run_lockstep(design, traces, cycles, swar=True, majority_fraction=None):
         batch_outs = batch.step(lane_inputs)
         assert batch_outs == scalar_outs, f"cycle {cycle}: outputs diverge"
         assert_lanes_match_scalars(module, batch, sims, cycle)
+    assert_one_path_per_step(batch)
     return batch
 
 
@@ -118,21 +127,7 @@ class TestSwarTier:
             data.draw(strategies.stimulus_traces(cycles=5), label=f"lane{lane}")
             for lane in range(lanes)
         ]
-        batch = run_lockstep(design, traces, cycles=5)
-        # the two engines must classify identically on the engine flag
-        assert batch.swar and "w" not in BatchSimulator(
-            design.module, lanes, swar=False
-        ).signal_tiers.values()
-
-    @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(strategies.wide_programs(), st.data())
-    def test_pre_swar_engine_still_bit_identical(self, program, data):
-        """The swar=False engine (the regression-benchmark baseline)
-        stays bit-identical on the same mixed-width programs."""
-        lat = two_level()
-        design = compile_program(analyze(program, lat), lat, secure=True, name="rand_plain")
-        trace = data.draw(strategies.stimulus_traces(cycles=4))
-        run_lockstep(design, [trace, trace], cycles=4, swar=False)
+        run_lockstep(design, traces, cycles=5)
 
     ADDER = """
     reg[31:0] a; reg[31:0] b; reg[32:0] sum; reg[0:0] flag;
@@ -335,16 +330,20 @@ class TestSwarTier:
                 assert_lanes_match_scalars(batch.module, batch, sims, cycle)
 
     def test_engines_cached_per_flag(self):
+        """One compiled entry per (module, engine), shared across lane
+        counts; the SWAR tier is always on (there is no engine flag)."""
         design = compile_program(self.ADDER, two_level(), name="swar_cache")
         module = design.module
         b_swar = BatchSimulator(module, 2)
-        b_plain = BatchSimulator(module, 2, swar=False)
-        assert b_swar._entry is not b_plain._entry
         assert b_swar._entry is BatchSimulator(module, 4)._entry
-        assert b_plain._entry is BatchSimulator(module, 4, swar=False)._entry
+        if HAVE_NUMPY:
+            from repro.hdl import VectorSimulator
+
+            assert b_swar._entry is not VectorSimulator(module, 2)._entry
         assert "w" in b_swar.signal_tiers.values()
-        assert "w" not in b_plain.signal_tiers.values()
-        # packed state accessors agree across engines
+        with pytest.raises(TypeError):
+            BatchSimulator(module, 2, swar=False)
+        # slot-packed state accessors
         b_swar.set_reg(1, "sum", 0x1_2345_6789 & ((1 << 33) - 1))
         assert b_swar.get_reg(1, "sum") == 0x1_2345_6789 & ((1 << 33) - 1)
         assert b_swar.get_reg(0, "sum") == 0
@@ -513,14 +512,15 @@ class TestLaneCompaction:
 
 
 class TestMajorityDispatch:
-    """Cohort split + mask-merged write-back must equal the generic
-    step bit-for-bit for adversarially split lane populations."""
+    """Diverged lane populations -- the shapes majority-cohort dispatch
+    used to split -- now run the generic step whenever lanes disagree on
+    the control registers.  Each lane stays bit-identical to its scalar
+    twin, and every step takes exactly one of the two paths."""
 
-    def _lockstep(self, lanes, lane_x, cycles=160, fraction=0.5):
+    def _lockstep(self, lanes, lane_x, cycles=160):
         design = compile_program(FSM_SRC, two_level(), name=f"fsm_maj{lanes}")
         module = design.module
         batch = BatchSimulator(module, lanes)
-        batch.majority_fraction = fraction
         sims = [Simulator(module) for _ in range(lanes)]
         for cycle in range(cycles):
             lane_inputs = [{"x": lane_x[lane], "x__tag": 0} for lane in range(lanes)]
@@ -528,37 +528,27 @@ class TestMajorityDispatch:
             got = batch.step(lane_inputs)
             assert got == want, f"cycle {cycle}"
             assert_lanes_match_scalars(module, batch, sims, cycle)
+        assert_one_path_per_step(batch)
+        assert batch.generic_steps > 0, "population never diverged"
         return batch
 
     def test_half_and_half_split(self):
-        batch = self._lockstep(6, [3, 3, 3, 103, 103, 103])
-        assert batch.split_steps > 0, "50/50 population never split"
+        self._lockstep(6, [3, 3, 3, 103, 103, 103])
 
     def test_n_minus_one_vs_one_split(self):
-        batch = self._lockstep(5, [3, 3, 3, 3, 103])
-        assert batch.split_steps > 0, "N-1/1 population never split"
+        self._lockstep(5, [3, 3, 3, 3, 103])
 
     def test_three_way_state_mix(self):
-        batch = self._lockstep(6, [3, 3, 53, 53, 103, 103], fraction=0.3)
-        assert batch.split_steps > 0, "three-way population never split"
+        self._lockstep(6, [3, 3, 53, 53, 103, 103])
 
-    def test_large_cohort_uses_log_step_schedule(self):
-        """Cohorts above the positions-loop threshold repack through
-        the generalized compress/expand schedule (lane and slot space)
-        and must stay bit-identical like the small-cohort loop path."""
-        batch = self._lockstep(8, [3] * 6 + [103] * 2)
-        assert batch.split_steps > 0
-        assert any(maj._steps is not None for maj, _ in batch._plans.values()), (
-            "no cohort ever took the log-step schedule"
-        )
-        assert batch._entry.marshal.reads_s, "slot-space marshalling unexercised"
+    def test_six_and_two_population(self):
+        self._lockstep(8, [3] * 6 + [103] * 2)
 
     @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(strategies.programs(), st.integers(3, 6), st.data())
     def test_majority_dispatch_matches_scalars(self, program, lanes, data):
-        """Random programs with per-lane stimulus under an eager split
-        threshold: every lane stays bit-identical to its scalar twin
-        whichever cohort it lands in."""
+        """Random programs with per-lane stimulus: every lane stays
+        bit-identical to its scalar twin whichever path each step took."""
         lat = two_level()
         info = analyze(program, lat)
         design = compile_program(info, lat, secure=True, name="rand_majority")
@@ -566,12 +556,12 @@ class TestMajorityDispatch:
             data.draw(strategies.stimulus_traces(cycles=5), label=f"lane{lane}")
             for lane in range(lanes)
         ]
-        run_lockstep(design, traces, cycles=5, majority_fraction=0.34)
+        run_lockstep(design, traces, cycles=5)
 
     def test_bodies_shared_across_cohort_widths(self):
-        """One folded body serves every lane width: the full batch, a
-        compacted batch, and majority cohorts all re-enter the same
-        cached entry at their own width."""
+        """One folded body serves every lane width: the full batch and a
+        compacted batch re-enter the same cached entry at their own
+        width."""
         design = compile_program(FSM_SRC, two_level(), name="fsm_widths")
         module = design.module
         batch = BatchSimulator(module, 6)
@@ -592,16 +582,20 @@ class TestMajorityDispatch:
         assert BatchSimulator(module, 3)._entry.bodies is entry.bodies
 
     def test_split_disabled_by_flag(self):
+        """The cohort split is gone for good: no constructor option or
+        class attribute brings it back, and a mixed population never
+        counts a split step."""
         design = compile_program(FSM_SRC, two_level(), name="fsm_nomaj")
         module = design.module
-        batch = BatchSimulator(module, 6, majority=False)
-        ref = BatchSimulator(module, 6)
-        ref.majority_fraction = 0.3
-        for cycle in range(160):
-            lane_inputs = [{"x": 3 + 50 * (lane % 3), "x__tag": 0} for lane in range(6)]
-            assert batch.step(lane_inputs) == ref.step(lane_inputs), cycle
-        assert batch.split_steps == 0
-        assert ref.split_steps > 0
+        for option in ("majority", "specialize", "swar"):
+            with pytest.raises(TypeError):
+                BatchSimulator(module, 6, **{option: False})
+        batch = BatchSimulator(module, 6)
+        assert not hasattr(batch, "majority_fraction")
+        for _ in range(160):
+            batch.step([{"x": 3 + 50 * (lane % 3), "x__tag": 0} for lane in range(6)])
+        assert_one_path_per_step(batch)
+        assert batch.generic_steps > 0
 
 
 class TestLaneIndexValidation:
@@ -820,7 +814,7 @@ def fixpoint_waves(gen, order, pos):
 
 
 def _codegen_makers():
-    makers = [lambda m: _BatchCodeGen(m, swar=True), lambda m: _BatchCodeGen(m, swar=False)]
+    makers = [_BatchCodeGen]
     if HAVE_NUMPY:
         from repro.hdl.vector import _VectorCodeGen
 
@@ -876,7 +870,7 @@ class TestCodegenScheduling:
                 assert gen.generate() == body.source
         return len(bodies)
 
-    ENGINES = ["swar", "batch"] + (["vector"] if HAVE_NUMPY else [])
+    ENGINES = ["swar"] + (["vector"] if HAVE_NUMPY else [])
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_tdma_sources_byte_identical(self, engine):
@@ -953,3 +947,20 @@ class TestInlineDepth:
         code = "()" * siblings + "(" * depth + "x" + ")" * depth
         assert exact_depth(code) == max(depth, min(siblings, 1))
         assert nests_within(code, limit) == (exact_depth(code) <= limit)
+
+
+def test_engines_never_import_time():
+    """Wall-clock time must never pick the step path: neither batched
+    engine module imports anything from ``time``."""
+    hdl = Path(batch_mod.__file__).parent
+    for name in ("batch.py", "vector.py"):
+        tree = ast.parse((hdl / name).read_text(), filename=name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            for module in modules:
+                assert module.split(".")[0] != "time", f"{name}:{node.lineno} imports {module}"

@@ -37,7 +37,7 @@ def write(tmp_path, name, doc):
 
 BASE = {
     "gates": {"gates_optimized": 1000},
-    "ratios": {"batch_speedup": 3.0, "swar_speedup": 1.5},
+    "ratios": {"batch_speedup": 3.0, "vector_speedup": 1.5},
     "mean_seconds": {"test_x": 0.1},
 }
 
@@ -48,12 +48,12 @@ def run_main(tmp_path, current, baseline=BASE, argv_extra=()):
     return check_regression.main([bench, "--baseline", basefile, *argv_extra])
 
 
-def current_doc(gates=1000, batch=3.0, swar=1.5, mean=0.1):
+def current_doc(gates=1000, batch=3.0, vector=1.5, mean=0.1):
     return bench_json(
         {"test_x": mean, "test_gates": 1e-6, "test_ratio": 1e-6},
         extra={
             "test_gates": {"gates_optimized": gates},
-            "test_ratio": {"batch_speedup": batch, "swar_speedup": swar},
+            "test_ratio": {"batch_speedup": batch, "vector_speedup": vector},
         },
     )
 
@@ -62,25 +62,32 @@ class TestCollect:
     def test_collect_classifies_extra_info(self):
         got = check_regression.collect(current_doc())
         assert got["gates"] == {"gates_optimized": 1000}
-        assert got["ratios"] == {"batch_speedup": 3.0, "swar_speedup": 1.5}
+        assert got["ratios"] == {"batch_speedup": 3.0, "vector_speedup": 1.5}
         # stub benchmarks (attach-only lambdas) stay out of the timing gate
         assert got["mean_seconds"] == {"test_x": 0.1}
         assert set(got["names"]) == {"test_x", "test_gates", "test_ratio"}
 
-    def test_swar_speedup_is_a_gated_ratio(self):
-        assert "swar_speedup" in check_regression.RATIO_KEYS
+    def test_retired_ratios_are_not_gated(self):
+        """Ratios whose comparison engine or path no longer exists
+        (``swar_speedup``, ``cohort_split_ratio``) and the raw
+        ``fleet_speedup`` (superseded by ``fleet_efficiency``) are
+        neither collected nor in the committed baseline."""
+        retired = {"swar_speedup", "cohort_split_ratio", "fleet_speedup"}
+        assert not retired & set(check_regression.RATIO_KEYS)
+        committed = json.loads(check_regression.BASELINE.read_text())
+        assert not retired & set(committed["ratios"])
+        assert set(committed["ratios"]) <= set(check_regression.RATIO_KEYS)
 
     def test_compaction_speedup_is_a_gated_ratio(self):
         """The skewed-suite compaction ratio gates like the other
         machine-relative speedups; its companion diagnostics
-        (occupancy, cohort_split_ratio) ride along in extra_info but
-        are informational only."""
+        (occupancy) rides along in extra_info but is informational
+        only."""
         assert "compaction_speedup" in check_regression.RATIO_KEYS
         doc = bench_json(
             {"test_skew": 1e-6},
             extra={"test_skew": {"compaction_speedup": 1.7,
-                                 "occupancy": 0.41,
-                                 "cohort_split_ratio": 0.02}},
+                                 "occupancy": 0.41}},
         )
         got = check_regression.collect(doc)
         assert got["ratios"] == {"compaction_speedup": 1.7}
@@ -118,30 +125,33 @@ class TestCollect:
                                  "vector_over_swar_512": 3.4}
         assert "swar_lcps_32" not in got["gates"]
 
-    def test_fleet_speedup_is_a_gated_ratio(self):
-        """The multiprocess fleet ratio gates like the other
-        machine-relative speedups; its companion diagnostics
-        (fleet_lane_cycles_per_sec, fleet_occupancy) are informational
+    def test_fleet_efficiency_is_a_gated_ratio(self):
+        """The multiprocess fleet gates on parallel efficiency (speedup
+        per shard), comparable across CPU counts; its companion
+        diagnostics (fleet_speedup, fleet_shards,
+        fleet_lane_cycles_per_sec, fleet_occupancy) are informational
         only."""
-        assert "fleet_speedup" in check_regression.RATIO_KEYS
+        assert "fleet_efficiency" in check_regression.RATIO_KEYS
         doc = bench_json(
             {"test_fleet": 1e-6},
-            extra={"test_fleet": {"fleet_speedup": 2.4,
+            extra={"test_fleet": {"fleet_efficiency": 0.6,
+                                  "fleet_speedup": 2.4,
+                                  "fleet_shards": 4,
                                   "fleet_lane_cycles_per_sec": 500000,
                                   "fleet_occupancy": 0.99}},
         )
         got = check_regression.collect(doc)
-        assert got["ratios"] == {"fleet_speedup": 2.4}
+        assert got["ratios"] == {"fleet_efficiency": 0.6}
         assert "fleet_occupancy" not in got["gates"]
 
     def test_fleet_ratio_below_floor_fails(self, tmp_path, capsys):
         base = {k: dict(v) for k, v in BASE.items()}
-        base["ratios"]["fleet_speedup"] = 2.0
+        base["ratios"]["fleet_efficiency"] = 0.5
         doc = current_doc()
-        doc["benchmarks"][2]["extra_info"]["fleet_speedup"] = 1.59
-        assert run_main(tmp_path, doc, baseline=base) == 1  # floor 1.6
-        assert "fleet_speedup" in capsys.readouterr().out
-        doc["benchmarks"][2]["extra_info"]["fleet_speedup"] = 1.6
+        doc["benchmarks"][2]["extra_info"]["fleet_efficiency"] = 0.39
+        assert run_main(tmp_path, doc, baseline=base) == 1  # floor 0.4
+        assert "fleet_efficiency" in capsys.readouterr().out
+        doc["benchmarks"][2]["extra_info"]["fleet_efficiency"] = 0.4
         assert run_main(tmp_path, doc, baseline=base) == 0
 
     def test_warm_start_ratio_below_floor_fails(self, tmp_path, capsys):
@@ -176,7 +186,7 @@ class TestMissingAndNewMetrics:
         doc = current_doc()
         doc["benchmarks"][2]["extra_info"] = {"batch_speedup": 3.0}
         assert run_main(tmp_path, doc) == 1
-        assert "swar_speedup missing" in capsys.readouterr().out
+        assert "vector_speedup missing" in capsys.readouterr().out
 
     def test_missing_timing_fails(self, tmp_path, capsys):
         doc = current_doc()
@@ -208,11 +218,11 @@ class TestThresholdBoundaries:
         assert run_main(tmp_path, current_doc(gates=1201)) == 1
 
     def test_ratio_exactly_at_floor_passes(self, tmp_path):
-        assert run_main(tmp_path, current_doc(swar=1.2)) == 0  # 1.5 * 0.80
+        assert run_main(tmp_path, current_doc(vector=1.2)) == 0  # 1.5 * 0.80
 
     def test_ratio_below_floor_fails(self, tmp_path, capsys):
-        assert run_main(tmp_path, current_doc(swar=1.19)) == 1
-        assert "swar_speedup" in capsys.readouterr().out
+        assert run_main(tmp_path, current_doc(vector=1.19)) == 1
+        assert "vector_speedup" in capsys.readouterr().out
 
     def test_timing_at_throughput_limit_passes(self, tmp_path):
         assert run_main(tmp_path, current_doc(mean=0.3)) == 0  # 0.1 * 3.0
@@ -227,7 +237,7 @@ class TestThresholdBoundaries:
 
 class TestUpdate:
     def test_update_rewrites_baseline_without_names(self, tmp_path):
-        bench = write(tmp_path, "bench.json", current_doc(gates=777, swar=9.0))
+        bench = write(tmp_path, "bench.json", current_doc(gates=777, vector=9.0))
         basefile = tmp_path / "baseline.json"
         basefile.write_text(json.dumps(BASE))
         assert check_regression.main(
@@ -235,7 +245,7 @@ class TestUpdate:
         ) == 0
         snap = json.loads(basefile.read_text())
         assert snap["gates"]["gates_optimized"] == 777
-        assert snap["ratios"]["swar_speedup"] == 9.0
+        assert snap["ratios"]["vector_speedup"] == 9.0
         assert "names" not in snap
 
     def test_updated_baseline_round_trips(self, tmp_path):

@@ -325,10 +325,10 @@ class TestBatchedSuites:
         assert_equivalent_suite(samples.ADDER_CHECK, two_level(), 16, stimuli)
 
     def test_suite_under_eager_cohort_dispatch(self):
-        """The batched conformance oracle with majority-cohort dispatch
-        forced eager: lanes split across FSM states run through the
-        specialized-majority / generic-minority path and must still
-        match their interpreters entity for entity, cycle for cycle."""
+        """The batched conformance oracle on a population split across
+        FSM states (the shape cohort dispatch used to take): the
+        diverged steps run the generic step and every lane must still
+        match its interpreter entity for entity, cycle for cycle."""
         src = """
         reg[7:0] acc; reg[7:0] aux; input[7:0] x;
         state top : L = {
@@ -349,9 +349,10 @@ class TestBatchedSuites:
         ]
         bcv = assert_equivalent_suite(
             src, two_level(), 120, stimuli, name="fsm_suite",
-            majority_fraction=0.5,
         )
-        assert bcv.batch.split_steps > 0, "cohort dispatch never fired"
+        batch = bcv.batch
+        assert batch.generic_steps > 0, "the population never diverged"
+        assert batch.uniform_steps + batch.generic_steps == batch.cycles
 
     def test_enforcement_suite_with_divergent_violations(self):
         # lanes violate (or not) independently; per-lane violation events

@@ -213,11 +213,11 @@ class TestHardwareNoninterference:
     The two runs execute as lanes of one
     :class:`~repro.hdl.batch.BatchSimulator` -- the paired-execution
     shape noninterference checking always has, and exactly what the
-    batched engine exists for.  In ``compact+majority`` mode the pair
-    runs inside a four-lane batch with an eager cohort-split threshold
-    and the padding lanes are compacted away mid-trace, so the GLIFT
-    tag behaviour is verified on the cohort-dispatch and compaction
-    code paths, not just the generic step.
+    batched engine exists for.  In compact mode (test id
+    ``compact+majority``, kept from when the mode also forced cohort
+    dispatch) the pair runs inside a four-lane batch and the padding
+    lanes are compacted away mid-trace, so the GLIFT tag behaviour is
+    verified on the compaction code path, not just the generic step.
     """
 
     def _run_pair(self, src, trace_pairs, compacted=False):
@@ -228,8 +228,6 @@ class TestHardwareNoninterference:
         lat = two_level()
         design = compile_program(src, lat, name="ni_hw")
         batch = BatchSimulator(design.module, 4 if compacted else 2)
-        if compacted:
-            batch.majority_fraction = 0.5
 
         for cycle, (in1, in2) in enumerate(trace_pairs):
             enc1, enc2 = encode_inputs(design, in1), encode_inputs(design, in2)
@@ -253,6 +251,7 @@ class TestHardwareNoninterference:
                 assert batch.active_lanes == [0, 1]
         if compacted:
             assert batch.compactions == 1, "compaction path never exercised"
+        assert batch.uniform_steps + batch.generic_steps == batch.cycles
 
     @pytest.mark.parametrize("compacted", [False, True],
                              ids=["plain", "compact+majority"])
@@ -280,9 +279,8 @@ class TestHardwareNoninterference:
         """A noninterference pair plus two padding lanes whose FSM
         state legitimately diverges through a *low* selector (a high
         selector's goto would be suppressed by enforcement, keeping
-        every lane uniform): the cohort split genuinely runs, and the
-        pair's low-observable state must stay equal under the
-        mask-merged write-back."""
+        every lane uniform): the split population runs the generic
+        step, and the pair's low-observable state must stay equal."""
         from repro.hdl import BatchSimulator
         from repro.sapper.compiler import compile_program
         from repro.sapper.crossval import encode_inputs
@@ -302,7 +300,6 @@ class TestHardwareNoninterference:
         """
         design = compile_program(src, two_level(), name="ni_split")
         batch = BatchSimulator(design.module, 4)
-        batch.majority_fraction = 0.5
         for cycle in range(24):
             enc1 = encode_inputs(
                 design, {"h": (cycle * 7 & 255, "H"), "sel": (cycle % 3, "L")}
@@ -324,4 +321,5 @@ class TestHardwareNoninterference:
                 if rt1 == 0 or rt2 == 0:
                     assert rt1 == rt2, f"tag {reg}"
                     assert batch.get_reg(0, reg) == batch.get_reg(1, reg), f"reg {reg}"
-        assert batch.split_steps > 0, "cohort dispatch never fired on the NI pair"
+        assert batch.generic_steps > 0, "the padding lanes never diverged"
+        assert batch.uniform_steps + batch.generic_steps == batch.cycles

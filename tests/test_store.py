@@ -473,7 +473,7 @@ class TestConcurrentAccess:
 # The codegen tier: batched step modules (``codegen``) and state-folded
 # bodies (``fold``) persisted beside the compile/optimize artifacts.
 
-CODEGEN_ENGINES = ["swar", "batch"] + (["vector"] if HAVE_NUMPY else [])
+CODEGEN_ENGINES = ["swar"] + (["vector"] if HAVE_NUMPY else [])
 CODEGEN_STEPS = 300
 CODEGEN_LANES = 4
 

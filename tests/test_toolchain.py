@@ -13,7 +13,13 @@ from repro.cli import main
 from repro.hdl.synth import CostReport
 from repro.lattice import diamond, two_level
 from repro.sapper import samples
-from repro.toolchain import Toolchain, get_toolchain, lattice_key, set_toolchain
+from repro.toolchain import (
+    BATCH_ENGINES,
+    Toolchain,
+    get_toolchain,
+    lattice_key,
+    set_toolchain,
+)
 
 
 class TestToolchain:
@@ -310,3 +316,28 @@ class TestCli:
         )
         assert proc.returncode == 0, proc.stderr
         assert "gates" in proc.stdout
+
+
+@pytest.mark.parametrize("surface", ["toolchain", "fleet", "cli"])
+def test_unknown_batch_engine_names_the_valid_ones(surface, tmp_path, capsys):
+    """``batch`` is not an engine: Toolchain, FleetRunner and the CLI
+    all refuse it, and the error names every valid engine."""
+    if surface == "cli":
+        path = tmp_path / "tdma.sapper"
+        path.write_text(samples.TDMA)
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", str(path), "--lanes", "4", "--engine", "batch"])
+        assert exc.value.code == 2
+        message = capsys.readouterr().err
+    else:
+        with pytest.raises(ValueError, match="unknown batch engine 'batch'") as exc:
+            if surface == "toolchain":
+                tc = Toolchain()
+                design = tc.compile(samples.TDMA, two_level(), name="no_batch")
+                tc.batch_simulator(design, 4, engine="batch")
+            else:
+                from repro.fleet import FleetRunner
+
+                FleetRunner(engine="batch")
+        message = str(exc.value)
+    assert all(engine in message for engine in BATCH_ENGINES), message

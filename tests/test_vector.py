@@ -6,7 +6,7 @@ contents (architectural *and* shadow-tag), array contents (including
 ``__tags`` shadow stores and the dense uint64 mirrors), and output-port
 values of N scalar :class:`~repro.hdl.sim.Simulator` runs -- for random
 programs across the 33-bit and 64-bit dtype boundaries, lane counts up
-to 256, mid-run lane compaction, and majority-cohort dispatch.  Engine
+to 256, mid-run lane compaction, and diverged lane populations.  Engine
 selection (toolchain ``engine=``, CLI ``--engine``/auto, the
 NumPy-missing gate) is covered at the bottom.
 
@@ -39,10 +39,10 @@ from repro.sapper import samples
 from repro.sapper.analysis import analyze
 from repro.sapper.compiler import compile_program
 from repro.sapper.crossval import assert_equivalent_suite, encode_inputs
-from repro.toolchain import Toolchain
+from repro.toolchain import VECTOR_AUTO_LANES, Toolchain
 
 from tests import strategies
-from tests.test_batch_sim import FSM_SRC, assert_lanes_match_scalars
+from tests.test_batch_sim import FSM_SRC, assert_lanes_match_scalars, assert_one_path_per_step
 
 
 def assert_dense_mirrors_match(batch):
@@ -61,13 +61,11 @@ def assert_dense_mirrors_match(batch):
                 )
 
 
-def run_lockstep(design, traces, cycles, majority_fraction=None):
+def run_lockstep(design, traces, cycles):
     """Drive a vector batch and per-lane scalar sims in lockstep."""
     module = design.module
     lanes = len(traces)
     batch = VectorSimulator(module, lanes)
-    if majority_fraction is not None:
-        batch.majority_fraction = majority_fraction
     sims = [Simulator(module) for _ in range(lanes)]
     for cycle in range(cycles):
         lane_inputs = [
@@ -79,6 +77,7 @@ def run_lockstep(design, traces, cycles, majority_fraction=None):
         assert batch_outs == scalar_outs, f"cycle {cycle}: outputs diverge"
         assert_lanes_match_scalars(module, batch, sims, cycle)
     assert_dense_mirrors_match(batch)
+    assert_one_path_per_step(batch)
     return batch
 
 
@@ -519,14 +518,15 @@ class TestLaneCompaction:
 
 
 class TestMajorityDispatch:
-    """Cohort split via fancy-indexing gather/scatter must equal the
-    generic vector step bit-for-bit."""
+    """Diverged lane populations -- the shapes majority-cohort dispatch
+    used to split -- run the generic vector step whenever lanes disagree
+    on the control registers, bit-identical to scalar twins, with every
+    step on exactly one of the two paths."""
 
-    def _lockstep(self, lanes, lane_x, cycles=160, fraction=0.5):
+    def _lockstep(self, lanes, lane_x, cycles=160):
         design = compile_program(FSM_SRC, two_level(), name=f"vec_maj{lanes}")
         module = design.module
         batch = VectorSimulator(module, lanes)
-        batch.majority_fraction = fraction
         sims = [Simulator(module) for _ in range(lanes)]
         for cycle in range(cycles):
             lane_inputs = [{"x": lane_x[lane], "x__tag": 0} for lane in range(lanes)]
@@ -534,15 +534,21 @@ class TestMajorityDispatch:
             got = batch.step(lane_inputs)
             assert got == want, f"cycle {cycle}"
             assert_lanes_match_scalars(module, batch, sims, cycle)
+        assert_one_path_per_step(batch)
+        assert batch.generic_steps > 0, "population never diverged"
         return batch
 
     def test_half_and_half_split(self):
-        batch = self._lockstep(6, [3, 3, 3, 103, 103, 103])
-        assert batch.split_steps > 0, "50/50 population never split"
+        self._lockstep(6, [3, 3, 3, 103, 103, 103])
+
+    def test_n_minus_one_vs_one_population(self):
+        self._lockstep(5, [3, 3, 3, 3, 103])
 
     def test_three_way_state_mix(self):
-        batch = self._lockstep(6, [3, 3, 53, 53, 103, 103], fraction=0.3)
-        assert batch.split_steps > 0, "three-way population never split"
+        self._lockstep(6, [3, 3, 53, 53, 103, 103])
+
+    def test_six_and_two_population(self):
+        self._lockstep(8, [3] * 6 + [103] * 2)
 
     @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(strategies.programs(), st.integers(3, 6), st.data())
@@ -554,19 +560,21 @@ class TestMajorityDispatch:
             data.draw(strategies.stimulus_traces(cycles=5), label=f"lane{lane}")
             for lane in range(lanes)
         ]
-        run_lockstep(design, traces, cycles=5, majority_fraction=0.34)
+        run_lockstep(design, traces, cycles=5)
 
     def test_split_disabled_by_flag(self):
+        """No constructor option brings the cohort split back, and a
+        mixed population never counts a split step."""
         design = compile_program(FSM_SRC, two_level(), name="vec_nomaj")
         module = design.module
-        batch = VectorSimulator(module, 6, majority=False)
-        ref = VectorSimulator(module, 6)
-        ref.majority_fraction = 0.3
-        for cycle in range(160):
-            lane_inputs = [{"x": 3 + 50 * (lane % 3), "x__tag": 0} for lane in range(6)]
-            assert batch.step(lane_inputs) == ref.step(lane_inputs), cycle
-        assert batch.split_steps == 0
-        assert ref.split_steps > 0
+        for option in ("majority", "specialize"):
+            with pytest.raises(TypeError):
+                VectorSimulator(module, 6, **{option: False})
+        batch = VectorSimulator(module, 6)
+        for _ in range(160):
+            batch.step([{"x": 3 + 50 * (lane % 3), "x__tag": 0} for lane in range(6)])
+        assert_one_path_per_step(batch)
+        assert batch.generic_steps > 0
 
 
 class TestVectorApi:
@@ -576,7 +584,6 @@ class TestVectorApi:
         vec = VectorSimulator(module, 2)
         assert vec._entry is VectorSimulator(module, 4)._entry
         assert vec._entry is not BatchSimulator(module, 2)._entry
-        assert vec._entry is not BatchSimulator(module, 2, swar=False)._entry
 
     def test_stored_arrays_are_immutable_values(self):
         """set_reg must copy-before-write: a lane write may never mutate
@@ -636,9 +643,8 @@ class TestToolchainEngines:
         vec = tc.batch_simulator(design, 4, engine="vector")
         assert isinstance(vec, VectorSimulator)
         swar = tc.batch_simulator(design, 4, engine="swar")
-        assert type(swar) is BatchSimulator and swar.swar
-        plain = tc.batch_simulator(design, 4, engine="batch")
-        assert type(plain) is BatchSimulator and not plain.swar
+        assert type(swar) is BatchSimulator
+        assert type(tc.batch_simulator(design, 4)) is BatchSimulator
         with pytest.raises(ValueError, match="unknown batch engine"):
             tc.batch_simulator(design, 4, engine="simd")
 
@@ -647,12 +653,14 @@ class TestToolchainEngines:
         design = tc.compile(samples.TDMA, two_level(), name="tc_agree")
         sims = [
             tc.batch_simulator(design, 3, engine=e)
-            for e in ("batch", "swar", "vector")
+            for e in ("swar", "vector")
         ]
+        scalar = tc.simulator(design)
         inp = {"hi_in": 9, "hi_in__tag": 1, "lo_in": 4, "lo_in__tag": 0}
         for cycle in range(40):
+            want = scalar.step(inp)
             outs = [s.step(inp) for s in sims]
-            assert outs[0] == outs[1] == outs[2], cycle
+            assert outs[0] == outs[1] == [want] * 3, cycle
 
     def test_crossval_suite_over_vector_engine(self):
         stimuli = [
@@ -700,7 +708,7 @@ class TestCliEngineSelection:
         from repro import cli
 
         assert cli.main(["simulate", tdma_file, "-n", "3",
-                         "--lanes", str(cli._VECTOR_AUTO_LANES), "--quiet"]) == 0
+                         "--lanes", str(VECTOR_AUTO_LANES), "--quiet"]) == 0
         assert recorded == ["vector"]
 
     def test_auto_prefers_swar_at_narrow_batches(self, tdma_file, recorded, capsys):
@@ -714,7 +722,7 @@ class TestCliEngineSelection:
                                                    monkeypatch, capsys):
         from repro import cli
 
-        monkeypatch.setattr(cli, "_have_numpy", lambda: False)
+        monkeypatch.setattr(vector_mod, "HAVE_NUMPY", False)
         assert cli.main(["simulate", tdma_file, "-n", "3",
                          "--lanes", "128", "--quiet"]) == 0
         assert recorded == ["swar"]
@@ -723,7 +731,7 @@ class TestCliEngineSelection:
                                                          monkeypatch):
         from repro import cli
 
-        monkeypatch.setattr(cli, "_have_numpy", lambda: False)
+        monkeypatch.setattr(vector_mod, "HAVE_NUMPY", False)
         with pytest.raises(SystemExit, match="NumPy"):
             cli.main(["simulate", tdma_file, "-n", "3", "--lanes", "4",
                       "--engine", "vector", "--quiet"])
