@@ -37,8 +37,8 @@ Robustness:
 
 Entry points: :class:`FleetRunner` (persistent workers, cheapest for
 repeated suites), ``run_workloads(shards=N)`` (one-shot convenience),
-``python -m repro simulate --shards N`` and the NDJSON server's
-``fleet`` op (both built on :func:`simulate_sharded` / the runner).
+``python -m repro simulate --shards N`` (:func:`simulate_sharded`) and
+the NDJSON server's ``fleet`` op.
 """
 
 from __future__ import annotations
@@ -50,10 +50,11 @@ import signal
 import tempfile
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from collections.abc import Sequence
 from typing import Any
 
+from repro.commands import LaneRun, SimulateRequest, compile_design, run_lanes
 from repro.lattice import Lattice, two_level
 from repro.mips.assembler import Executable
 from repro.proc.machine import (
@@ -62,6 +63,7 @@ from repro.proc.machine import (
     check_budgets,
     compile_processor,
 )
+from repro.sapper.compiler import CompiledDesign
 from repro.store import ArtifactStore, coerce_store
 from repro.toolchain import Toolchain, auto_engine, check_engine
 
@@ -173,110 +175,43 @@ class _ProcJob:
         exe, budget = payload
         machine = SapperMachine(self.lattice, self.secure)
         machine.load(exe)
-        res = machine.run(budget)
-        raw = {
-            "outputs": res.outputs,
-            "cycles": res.cycles,
-            "violations": res.violations,
-            "halted": res.halted,
-        }
+        raw = asdict(machine.run(budget))
         if self.capture_state:
             raw["regs"] = dict(machine.sim.regs)
             raw["arrays"] = {name: dict(vals) for name, vals in machine.sim.arrays.items()}
         return raw
 
     def decode(self, raw: dict[str, Any]) -> RunResult:
-        if self.capture_state:
-            return FleetWorkloadResult(
-                outputs=raw["outputs"],
-                cycles=raw["cycles"],
-                violations=raw["violations"],
-                halted=raw["halted"],
-                regs=raw.get("regs"),
-                arrays=raw.get("arrays"),
-            )
-        return RunResult(raw["outputs"], raw["cycles"], raw["violations"], raw["halted"])
-
-
-def _run_design_slice(tc, design, payload, *, cycles, inputs, compact, engine, tick=None):
-    """One lane-slice of a generic design, mirroring the CLI simulate
-    loop exactly (violation counting, final outputs, halted-lane
-    compaction with stimulus realignment, all-halted early stop)."""
-    lane_ids, stim = payload
-    k = len(lane_ids)
-    sim = tc.batch_simulator(design, k, engine=engine or auto_engine(k))
-    violations = [0] * k
-    final: list[dict[str, int]] = [{} for _ in range(k)]
-    lane_stim = list(stim) if stim is not None else None
-    for _ in range(cycles):
-        if tick is not None:
-            tick()
-        outs = sim.step(lane_stim if lane_stim is not None else inputs)
-        for pos, out in enumerate(outs):
-            lane = sim.active_lanes[pos]
-            violations[lane] += int(bool(out.get("violation", 0)))
-            final[lane] = out
-        if compact:
-            retire = [pos for pos, out in enumerate(outs) if out.get("halted")]
-            if retire and len(retire) == sim.lanes:
-                break
-            if retire:
-                gone = set(retire)
-                sim.compact(retire)
-                if lane_stim is not None:
-                    lane_stim = [d for pos, d in enumerate(lane_stim) if pos not in gone]
-    return {
-        "lanes": list(lane_ids),
-        "violations": violations,
-        "final": final,
-        "steps": sim.cycles,
-        "lane_cycles": sim.lane_cycles,
-    }
+        return (FleetWorkloadResult if self.capture_state else RunResult)(**raw)
 
 
 class _DesignJob:
-    """Lane slices of one generic design (``simulate --shards``)."""
+    """Lane slices of one generic design (``simulate`` with shards).
+
+    A payload is ``(width, lane_stim)``; its result is the slice's
+    :class:`~repro.commands.LaneRun`.
+    """
 
     mode = "design"
 
-    def __init__(self, source, lattice, secure, name, cycles, inputs, compact, engine):
-        self.source = source
-        self.lattice = lattice or two_level()
-        self.secure = secure
-        self.name = name
-        self.cycles = cycles
-        self.inputs = dict(inputs or {})
-        self.compact = compact
-        self.engine = engine
+    def __init__(self, request: SimulateRequest):
+        self.request = request
         self._tc: Toolchain | None = None
         self._design = None
 
     def prepare(self, tc: Toolchain) -> None:
         self._tc = tc
-        self._design = tc.compile(self.source, self.lattice, secure=self.secure, name=self.name)
+        self._design = compile_design(tc, self.request)
         tc.optimize(self._design)
 
     def worker_spec(self) -> dict[str, Any]:
-        return {
-            "mode": "design",
-            "source": self.source,
-            "lattice": self.lattice,
-            "secure": self.secure,
-            "name": self.name,
-            "cycles": self.cycles,
-            "inputs": self.inputs,
-            "compact": self.compact,
-        }
+        return {"mode": "design", "request": self.request}
 
-    def run_local(self, payload: tuple) -> dict[str, Any]:
-        return _run_design_slice(
-            self._tc, self._design, payload,
-            cycles=self.cycles, inputs=self.inputs,
-            compact=self.compact, engine=self.engine,
-        )
-
-    def decode(self, raw: dict[str, Any]) -> dict[str, Any]:
-        return raw
+    def run_local(self, payload: tuple, on_step=None) -> LaneRun:
+        width, stim = payload
+        req = self.request
+        sim = self._tc.batch_simulator(self._design, width, engine=req.engine)
+        return run_lanes(sim, req.cycles, req.inputs, stim, req.compact, on_step)
 
 
 # ------------------------------------------------------------- workers
@@ -561,26 +496,16 @@ class _DesignWorker(_WorkerBase):
 
     def prepare(self) -> None:
         self.capacity = 1  # a slice is already a full batch
-        self.design = self.tc.compile(
-            self.spec["source"],
-            self.spec["lattice"] or two_level(),
-            secure=self.spec["secure"],
-            name=self.spec["name"],
-        )
-        self.tc.optimize(self.design)
+        self.job = _DesignJob(self.spec["request"])
+        self.job.prepare(self.tc)
 
     def run_wave(self, wave: list, buffer: list) -> None:
         for gen, idx, payload in wave:
-            raw = _run_design_slice(
-                self.tc, self.design, payload,
-                cycles=self.spec["cycles"], inputs=self.spec["inputs"],
-                compact=self.spec["compact"], engine=self.engine,
-                tick=self._tick,
-            )
-            self.counters["lane_cycles"] += raw["lane_cycles"]
-            self.counters["steps"] += raw["steps"]
-            self.counters["width_cycles"] += raw["steps"] * len(payload[0])
-            self._emit_result(gen, idx, raw)
+            run = self.job.run_local(payload, on_step=lambda *_: self._tick())
+            self.counters["lane_cycles"] += run.lane_cycles
+            self.counters["steps"] += run.steps
+            self.counters["width_cycles"] += run.steps * payload[0]
+            self._emit_result(gen, idx, run)
 
 
 _WORKER_MODES = {"proc": _ProcWorker, "design": _DesignWorker}
@@ -951,64 +876,34 @@ class FleetRunner:
 
 
 def simulate_sharded(
-    source: str,
-    lattice: Lattice | None = None,
-    *,
-    cycles: int,
-    lanes: int,
-    shards: int = 2,
-    name: str = "design",
-    secure: bool = True,
-    inputs: dict[str, int] | None = None,
-    lane_stim: list[dict[str, int]] | None = None,
-    engine: str | None = None,
-    compact: bool = True,
-    store: ArtifactStore | str | None = None,
-    start_method: str | None = None,
-    slice_lanes: int | None = None,
-) -> dict[str, Any]:
-    """Shard a generic design's lane batch across fleet workers.
+    request: SimulateRequest, store: ArtifactStore | str | None = None
+) -> tuple[CompiledDesign, LaneRun, FleetStats]:
+    """Shard a generic design's lane batch across ``request.shards``
+    fleet workers.
 
-    The stimulus lanes split into contiguous slices (about two per
-    worker, override with *slice_lanes*); each worker compiles the
-    design once from the shared store and runs its slices exactly as
-    the CLI simulate loop would, so per-lane violations and final
-    outputs are bit-identical to the single-process run.  Returns
-    ``{"violations", "final", "lane_cycles", "steps", "stats"}`` with
-    per-lane lists indexed by original lane id.
+    The lanes split into contiguous slices, about two per worker; each
+    worker compiles the design once from the shared store and steps its
+    slices through :func:`repro.commands.run_lanes`, so per-lane
+    violations and final outputs are bit-identical to the
+    single-process run.  Returns the design as the parent compiled it,
+    the merged run (the longest slice's steps, summed lane-cycles and
+    active lanes) and the fleet counters.
     """
-    if lane_stim is not None and len(lane_stim) != lanes:
-        raise ValueError(f"lane_stim has {len(lane_stim)} entries for {lanes} lanes")
-    slice_lanes = slice_lanes or max(1, -(-lanes // max(1, shards * 2)))
-    payloads = []
-    for lo in range(0, lanes, slice_lanes):
-        ids = list(range(lo, min(lo + slice_lanes, lanes)))
-        stim = [lane_stim[i] for i in ids] if lane_stim is not None else None
-        payloads.append((ids, stim))
-    job = _DesignJob(source, lattice, secure, name, cycles, inputs, compact, engine)
-    runner = FleetRunner(
-        shards=shards,
-        store=store,
-        engine=engine,
-        start_method=start_method,
-        _job=job,
+    lanes = request.lanes
+    size = -(-lanes // (request.shards * 2))
+    stim = request.lane_stimulus()
+    payloads = [
+        (min(size, lanes - lo), stim[lo : lo + size] if stim is not None else None)
+        for lo in range(0, lanes, size)
+    ]
+    job = _DesignJob(request)
+    with FleetRunner(shards=request.shards, store=store, _job=job) as runner:
+        runs = runner._run_payloads(payloads)
+    merged = LaneRun(
+        [count for run in runs for count in run.violations],
+        [out for run in runs for out in run.final],
+        max(run.steps for run in runs),
+        sum(run.lane_cycles for run in runs),
+        sum(run.active_lanes for run in runs),
     )
-    with runner:
-        parts = runner._run_payloads(payloads)
-    violations = [0] * lanes
-    final: list[dict[str, int]] = [{} for _ in range(lanes)]
-    lane_cycles = 0
-    steps = 0
-    for part in parts:
-        for off, lane in enumerate(part["lanes"]):
-            violations[lane] = part["violations"][off]
-            final[lane] = part["final"][off]
-        lane_cycles += part["lane_cycles"]
-        steps = max(steps, part["steps"])
-    return {
-        "violations": violations,
-        "final": final,
-        "lane_cycles": lane_cycles,
-        "steps": steps,
-        "stats": runner.stats,
-    }
+    return job._design, merged, runner.stats

@@ -219,10 +219,11 @@ def assert_equivalent(
     lattice: Lattice,
     cycles: int,
     stimulus: Callable[[int], InputSpec] | None = None,
+    name: str = "design",
 ) -> CrossValidation:
     """Run all three engines (interpreter, raw hardware, optimized
     hardware) and raise ``AssertionError`` on the first divergence."""
-    cv = CrossValidation.build(source, lattice)
+    cv = CrossValidation.build(source, lattice, name)
     mismatches = cv.run(cycles, stimulus)
     if mismatches:
         detail = "\n".join(str(m) for m in mismatches[:12])

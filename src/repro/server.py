@@ -1,52 +1,33 @@
-"""``python -m repro serve`` -- the async toolchain-as-a-service layer.
+"""``python -m repro serve`` -- the toolchain as an NDJSON service.
 
-A long-lived process owning one :class:`~repro.toolchain.Toolchain`
-(usually backed by a persistent :class:`~repro.store.ArtifactStore`)
-and answering newline-delimited JSON requests over TCP or stdio::
+One :class:`ReproServer` owns one :class:`~repro.toolchain.Toolchain`
+and answers newline-delimited JSON requests over TCP or stdio::
 
-    {"id": 1, "op": "compile", "source_path": "tdma.sapper", "name": "tdma"}
-    {"id": 2, "op": "simulate", "source_path": "tdma.sapper", "name": "tdma",
-     "cycles": 100, "inputs": {"hi_in": 3}}
+    {"id": 1, "op": "simulate", "source_path": "tdma.sapper", "cycles": 100}
+    -> {"id": 1, "ok": true, "result": {"cycles": 100, ...}}
 
-    -> {"id": 1, "ok": true, "result": {"name": "tdma", ...}}
-    -> {"id": 2, "ok": true, "result": {"cycles": 100, ...}}
-
-Request ops: ``ping``, ``compile``, ``verilog``, ``synth``,
-``simulate``, ``check`` (the static design-lint + information-flow
-report of ``python -m repro check``, as JSON), ``fleet`` (a workload
-suite on the multiprocess fleet scheduler, sharded over the server's
-artifact store), ``verify``
-(three-way interpreter/raw/optimized cross-validation), ``stats``
-(server + toolchain + store counters), ``shutdown``.  Errors come back as ``{"ok": false, "error": ...}`` --
-a malformed line, an unknown op, or a Sapper compile error never tears
-down the connection, let alone the server.
-
-Concurrency model: the asyncio loop parses and routes; CPU-bound work
-(compile, optimize, synthesis, simulation) runs on a bounded
-``ThreadPoolExecutor``.  Design builds are **single-flight**: requests
-that name the same structural key (source digest, lattice, flags)
-while a build is in flight await the same future, so N identical
-clients cost one compile -- the ``coalesced`` counters (server-side
-and on the toolchain) prove it.  Distinct keys queue on the pool and
-make independent progress.
-
-On startup (unless disabled) the server pre-warms the secure-processor
-family -- the two-level, diamond, and powerset lattices -- through the
-same single-flight path, so the first real client of a warm store hits
-precompiled artifacts.
+The design ops (``compile``, ``verilog``, ``synth``, ``check``,
+``simulate``) build a :mod:`repro.commands` request from the JSON
+object, run the shared command on a bounded thread pool and answer its
+``to_json()`` (see "Front doors" in ARCHITECTURE.md).  ``verify``,
+``fleet``, ``stats``, ``ping`` and ``shutdown`` are server-only.  Any
+failure comes back as ``{"ok": false, "error": ...}``; the caps below
+guard against greedy clients.
 """
 
 from __future__ import annotations
 
 import asyncio
 import contextlib
-import hashlib
+import dataclasses
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, TextIO
 
-from repro.lattice import Lattice, LatticeError, diamond, from_order, powerset, two_level
+from repro import commands
+from repro.commands import LATTICES, RequestError
+from repro.lattice import LatticeError
 from repro.sapper.errors import SapperError
 from repro.toolchain import Toolchain
 
@@ -64,28 +45,7 @@ MAX_FLEET_WORKLOADS = 64
 MAX_FLEET_LANES = 256
 
 
-class ServerError(Exception):
-    """A malformed or unserviceable request (reported, never fatal)."""
-
-
-def proc_powerset(tags: tuple[str, ...] = ("u", "k")) -> Lattice:
-    """The powerset lattice over *tags* with its bottom renamed ``L``,
-    so the generated processor (whose boot/reset annotations are pinned
-    to the low label ``L``) compiles against it unchanged."""
-    base = powerset(tags)
-    rename = {"{}": "L"}
-    elements = [rename.get(e, e) for e in base.elements]
-    pairs = [
-        (rename.get(a, a), rename.get(b, b))
-        for a in base.elements
-        for b in base.elements
-        if a != b and base.leq(a, b)
-    ]
-    return from_order(elements, pairs)
-
-
-#: Lattices a request may name, and the startup pre-warm family.
-LATTICES = {"two": two_level, "diamond": diamond, "powerset": proc_powerset}
+#: The startup pre-warm family (secure processors).
 WARM_FAMILY = ("two", "diamond", "powerset")
 
 
@@ -100,14 +60,10 @@ class ReproServer:
         self._pool = ThreadPoolExecutor(
             max_workers=max_workers, thread_name_prefix="repro-build"
         )
-        #: structural key -> in-flight build future (single-flight layer)
-        self._inflight: dict[tuple, asyncio.Future] = {}
         self._stopping = asyncio.Event()
         self.counters: dict[str, int] = {
             "requests": 0,
             "errors": 0,
-            "coalesced": 0,
-            "builds": 0,
             "connections": 0,
             "warmed": 0,
         }
@@ -129,15 +85,15 @@ class ReproServer:
         rid = req.get("id") if isinstance(req, dict) else None
         try:
             if not isinstance(req, dict):
-                raise ServerError("request must be a JSON object with an 'op' field")
+                raise RequestError("request must be a JSON object with an 'op' field")
             op = req.get("op")
             handler = self._OPS.get(op)
             if handler is None:
                 known = ", ".join(sorted(self._OPS))
-                raise ServerError(f"unknown op {op!r}; known ops: {known}")
+                raise RequestError(f"unknown op {op!r}; known ops: {known}")
             result = await handler(self, req)
             return {"id": rid, "ok": True, "result": result}
-        except (ServerError, SapperError, LatticeError, FileNotFoundError) as exc:
+        except (RequestError, SapperError, LatticeError, FileNotFoundError) as exc:
             self.counters["errors"] += 1
             return {"id": rid, "ok": False, "error": str(exc)}
         except Exception as exc:  # a bug must not take the server down
@@ -146,79 +102,36 @@ class ReproServer:
 
     # -- field extraction -----------------------------------------------------
 
-    @staticmethod
-    def _field(req: dict, name: str, kind: type, default: Any = ...) -> Any:
-        value = req.get(name, default)
-        if value is ...:
-            raise ServerError(f"missing required field {name!r}")
-        if not isinstance(value, kind) or isinstance(value, bool) and kind is int:
-            raise ServerError(f"field {name!r} must be {kind.__name__}, got {value!r}")
-        return value
-
-    def _design_fields(self, req: dict) -> tuple[str, str, bool, str]:
+    def _request(self, req: dict, kind: type = commands.DesignRequest, **fields: Any):
+        """The :mod:`repro.commands` request *kind* for the JSON object
+        *req* (the request validates its own field types)."""
         if "source" in req:
-            source = self._field(req, "source", str)
+            source = req["source"]
         elif "source_path" in req:
-            path = self._field(req, "source_path", str)
+            path = req["source_path"]
+            commands.check_type("source_path", path, str)
             try:
                 with open(path) as fh:
                     source = fh.read()
             except OSError as exc:
-                raise ServerError(f"cannot read source_path {path!r}: {exc}")
+                raise RequestError(f"cannot read source_path {path!r}: {exc}")
         else:
-            raise ServerError("request needs 'source' (text) or 'source_path'")
-        lattice = req.get("lattice", "two")
-        if lattice not in LATTICES:
-            raise ServerError(
-                f"unknown lattice {lattice!r}; known: {', '.join(sorted(LATTICES))}"
-            )
-        secure = req.get("secure", True)
-        if not isinstance(secure, bool):
-            raise ServerError(f"field 'secure' must be a boolean, got {secure!r}")
-        name = self._field(req, "name", str, "design")
-        return source, lattice, secure, name
-
-    def _bounded(self, req: dict, name: str, default: int, lo: int, hi: int) -> int:
-        value = self._field(req, name, int, default)
-        if not lo <= value <= hi:
-            raise ServerError(f"field {name!r} must be in [{lo}, {hi}], got {value}")
-        return value
-
-    # -- single-flight design builds ------------------------------------------
-
-    def _build_design(self, source: str, lattice_name: str, secure: bool, name: str):
-        """Compile + optimize (worker thread; overridable in tests)."""
-        self.counters["builds"] += 1
-        lattice = LATTICES[lattice_name]()
-        design = self.tc.compile(source, lattice, secure=secure, name=name)
-        module = self.tc.optimize(design)
-        return design, module
-
-    async def _built(self, req: dict):
-        """The (design, optimized module, key digest) for a request,
-        coalescing concurrent identical structural keys onto one build."""
-        source, lattice_name, secure, name = self._design_fields(req)
-        key = (
-            "design",
-            hashlib.sha256(source.encode()).hexdigest(),
-            lattice_name,
-            secure,
-            name,
-            self.tc.opt_level,
+            raise RequestError("request needs 'source' (text) or 'source_path'")
+        return kind(
+            source=source,
+            lattice=req.get("lattice", "two"),
+            secure=req.get("secure", True),
+            name=req.get("name", "design"),
+            **fields,
         )
-        fut = self._inflight.get(key)
-        if fut is None:
-            loop = asyncio.get_running_loop()
-            fut = loop.run_in_executor(
-                self._pool, self._build_design, source, lattice_name, secure, name
-            )
-            self._inflight[key] = fut
-            fut.add_done_callback(lambda _f: self._inflight.pop(key, None))
-        else:
-            self.counters["coalesced"] += 1
-            self.tc.bump("coalesced")
-        design, module = await fut
-        return design, module, hashlib.sha256(repr(key).encode()).hexdigest()
+
+    @staticmethod
+    def _bounded(req: dict, name: str, default: int, lo: int, hi: int) -> int:
+        value = req.get(name, default)
+        commands.check_type(name, value, int)
+        if not lo <= value <= hi:
+            raise RequestError(f"field {name!r} must be in [{lo}, {hi}], got {value}")
+        return value
 
     async def _in_pool(self, fn, *args):
         return await asyncio.get_running_loop().run_in_executor(self._pool, fn, *args)
@@ -228,122 +141,49 @@ class ReproServer:
     async def _op_ping(self, req: dict) -> dict:
         return {"pong": True}
 
-    async def _op_compile(self, req: dict) -> dict:
-        design, module, digest = await self._built(req)
-        return {
-            "name": design.name,
-            "key": digest,
-            "signals": len(module.comb),
-            "regs": len(module.regs),
-            "inputs": dict(module.inputs),
-            "outputs": sorted(module.outputs),
-        }
-
-    async def _op_verilog(self, req: dict) -> dict:
-        design, _module, digest = await self._built(req)
-        text = await self._in_pool(self.tc.verilog, design)
-        return {"key": digest, "verilog": text}
-
-    async def _op_synth(self, req: dict) -> dict:
-        design, _module, digest = await self._built(req)
-        rpt = await self._in_pool(self.tc.synthesize, design)
-        counts = rpt.counts
-        return {
-            "key": digest,
-            "summary": rpt.summary(),
-            "cells": {
-                "and2": counts.and2,
-                "or2": counts.or2,
-                "xor2": counts.xor2,
-                "inv": counts.inv,
-                "dff": counts.dff,
-            },
-        }
+    async def _run(self, command, request) -> dict:
+        """Run *command* on the pool.  When the request's design is
+        already compiling, wait for that build on the loop first, so
+        waiters hold no pool thread (see :meth:`Toolchain.reserve`)."""
+        key = self.tc.compile_key(
+            request.source, LATTICES[request.lattice](), request.secure, request.name
+        )
+        building, reserved = self.tc.reserve(key)
+        try:
+            if building is not None and not reserved:
+                await asyncio.wrap_future(building)
+            return (await self._in_pool(command, self.tc, request)).to_json()
+        finally:
+            if reserved:
+                self.tc.release(key, building)
 
     async def _op_simulate(self, req: dict) -> dict:
-        design, _module, digest = await self._built(req)
-        cycles = self._bounded(req, "cycles", 32, 1, MAX_CYCLES)
-        lanes = self._bounded(req, "lanes", 1, 1, MAX_LANES)
-        inputs = req.get("inputs", {})
-        if not isinstance(inputs, dict):
-            raise ServerError("field 'inputs' must be an object of port drives")
-        drives: dict[str, int | list[int]] = {}
-        for port, value in inputs.items():
-            if isinstance(value, int) and not isinstance(value, bool):
-                drives[port] = value
-            elif (
-                isinstance(value, list)
-                and value
-                and all(isinstance(v, int) and not isinstance(v, bool) for v in value)
-            ):
-                if len(value) != lanes:
-                    raise ServerError(
-                        f"input {port!r} drives {len(value)} lanes but 'lanes' is {lanes}"
-                    )
-                drives[port] = value
-            else:
-                raise ServerError(
-                    f"input {port!r} must be an integer or a per-lane integer list"
-                )
-        return await self._in_pool(self._run_sim, design, cycles, lanes, drives, digest)
-
-    def _run_sim(self, design, cycles: int, lanes: int, drives: dict, digest: str) -> dict:
-        if lanes == 1:
-            sim = self.tc.simulator(design)
-            flat = {
-                p: (v[0] if isinstance(v, list) else v) for p, v in drives.items()
-            }
-            violations = 0
-            out: dict[str, int] = {}
-            for _ in range(cycles):
-                out = sim.step(flat)
-                violations += int(bool(out.get("violation", 0)))
-            return {
-                "key": digest,
-                "cycles": sim.cycles,
-                "violations": violations,
-                "outputs": out,
-            }
-        batch = self.tc.batch_simulator(design, lanes)
-        lane_stim = None
-        if any(isinstance(v, list) for v in drives.values()):
-            lane_stim = [
-                {p: (v[lane] if isinstance(v, list) else v) for p, v in drives.items()}
-                for lane in range(lanes)
-            ]
-        violations = [0] * lanes
-        final: list[dict[str, int]] = [{} for _ in range(lanes)]
-        for _ in range(cycles):
-            outs = batch.step(lane_stim if lane_stim is not None else drives)
-            for pos, out in enumerate(outs):
-                lane = batch.active_lanes[pos]
-                violations[lane] += int(bool(out.get("violation", 0)))
-                final[lane] = out
-        return {
-            "key": digest,
-            "cycles": batch.cycles,
-            "lanes": lanes,
-            "violations": violations,
-            "outputs": final,
-        }
-
-    async def _op_check(self, req: dict) -> dict:
-        """Static design-lint + taint analysis (``repro check`` as JSON)."""
-        design, _module, digest = await self._built(req)
-        report = await self._in_pool(self.tc.analyze, design)
-        return {"key": digest, **report.to_json()}
+        return await self._run(commands.simulate, self._request(
+            req,
+            commands.SimulateRequest,
+            cycles=self._bounded(req, "cycles", 32, 1, MAX_CYCLES),
+            lanes=self._bounded(req, "lanes", 1, 1, MAX_LANES),
+            inputs=req.get("inputs", {}),
+        ))
 
     async def _op_verify(self, req: dict) -> dict:
         """Three-way cross-validation (reference interpreter vs raw vs
         optimized hardware) -- a mismatch is a verdict, not an error."""
-        source, lattice_name, _secure, _name = self._design_fields(req)
+        design = self._request(req)
+        if not design.secure:
+            raise RequestError(
+                "verify covers the secure design only: the Fig. 6 reference "
+                "interpreter models the secure variant; drop 'secure': false"
+            )
         cycles = self._bounded(req, "cycles", 64, 1, MAX_VERIFY_CYCLES)
 
         def check() -> dict:
             from repro.sapper.crossval import assert_equivalent
 
             try:
-                assert_equivalent(source, LATTICES[lattice_name](), cycles)
+                assert_equivalent(
+                    design.source, LATTICES[design.lattice](), cycles, name=design.name
+                )
             except AssertionError as exc:
                 return {"equivalent": False, "cycles": cycles, "detail": str(exc)}
             return {"equivalent": True, "cycles": cycles}
@@ -364,9 +204,9 @@ class ReproServer:
         lanes = self._bounded(req, "lanes_per_worker", 32, 1, MAX_FLEET_LANES)
         entries = req.get("workloads")
         if not isinstance(entries, list) or not entries:
-            raise ServerError("field 'workloads' must be a non-empty list")
+            raise RequestError("field 'workloads' must be a non-empty list")
         if len(entries) > MAX_FLEET_WORKLOADS:
-            raise ServerError(
+            raise RequestError(
                 f"at most {MAX_FLEET_WORKLOADS} workloads per request, got {len(entries)}"
             )
         from repro.workloads import ALL_WORKLOADS
@@ -377,7 +217,7 @@ class ReproServer:
                 workload = ALL_WORKLOADS.get(entry)
                 if workload is None:
                     known = ", ".join(sorted(ALL_WORKLOADS))
-                    raise ServerError(f"unknown workload {entry!r}; known: {known}")
+                    raise RequestError(f"unknown workload {entry!r}; known: {known}")
                 jobs.append((entry, workload.source, min(workload.max_cycles, default_budget)))
             elif isinstance(entry, dict) and isinstance(entry.get("asm"), str):
                 budget = self._bounded(entry, "max_cycles", default_budget, 1, MAX_CYCLES)
@@ -385,7 +225,7 @@ class ReproServer:
                 jobs.append((name if isinstance(name, str) else f"asm[{i}]",
                              entry["asm"], budget))
             else:
-                raise ServerError(
+                raise RequestError(
                     f"workloads[{i}] must be a workload name or an object with 'asm'"
                 )
         return await self._in_pool(self._run_fleet, jobs, shards, lanes)
@@ -397,9 +237,9 @@ class ReproServer:
         try:
             exes = [assemble(source) for _name, source, _budget in jobs]
         except AsmError as exc:
-            raise ServerError(f"workload assembly failed: {exc}")
+            raise RequestError(f"workload assembly failed: {exc}")
         except Exception as exc:  # the assembler chokes on arbitrary text
-            raise ServerError(
+            raise RequestError(
                 f"workload assembly failed: {type(exc).__name__}: {exc}"
             )
         budgets = [budget for _name, _source, budget in jobs]
@@ -414,13 +254,7 @@ class ReproServer:
         return {
             "shards": shards,
             "results": [
-                {
-                    "name": name,
-                    "outputs": res.outputs,
-                    "cycles": res.cycles,
-                    "violations": res.violations,
-                    "halted": res.halted,
-                }
+                {"name": name, **dataclasses.asdict(res)}
                 for (name, _source, _budget), res in zip(jobs, results)
             ],
             "fleet": merged,
@@ -442,11 +276,13 @@ class ReproServer:
 
     _OPS = {
         "ping": _op_ping,
-        "compile": _op_compile,
-        "verilog": _op_verilog,
-        "synth": _op_synth,
+        "compile": lambda self, req: self._run(commands.compile, self._request(req)),
+        "verilog": lambda self, req: self._run(commands.verilog, self._request(req)),
+        "synth": lambda self, req: self._run(commands.synth, self._request(req)),
+        "check": lambda self, req: self._run(
+            commands.check, self._request(req, commands.CheckRequest)
+        ),
         "simulate": _op_simulate,
-        "check": _op_check,
         "fleet": _op_fleet,
         "verify": _op_verify,
         "stats": _op_stats,
@@ -456,10 +292,10 @@ class ReproServer:
     # -- warm set -------------------------------------------------------------
 
     async def warm(self, family: tuple[str, ...] = WARM_FAMILY) -> int:
-        """Pre-build the secure-processor family through the
-        single-flight path (so early clients coalesce onto the warm
-        builds instead of duplicating them).  Returns the number of
-        designs warmed; failures are counted, logged, and non-fatal."""
+        """Pre-build the secure-processor family through the ``compile``
+        op (so early clients share the warm builds, see :meth:`_run`,
+        instead of duplicating them).  Returns the number of designs
+        warmed; failures are counted, logged, and non-fatal."""
         from repro.proc.design import generate_design
 
         warmed = 0
@@ -469,9 +305,10 @@ class ReproServer:
             try:
                 lattice = LATTICES[lattice_name]()
                 source = await self._in_pool(generate_design, lattice)
-                await self._built(
-                    {"source": source, "lattice": lattice_name, "name": "sapper_mips"}
+                request = commands.DesignRequest(
+                    source, lattice=lattice_name, name="sapper_mips"
                 )
+                await self._run(commands.compile, request)
                 warmed += 1
                 self.counters["warmed"] += 1
             except Exception as exc:

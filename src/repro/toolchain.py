@@ -32,8 +32,9 @@ import os
 import sys
 import threading
 import weakref
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from collections.abc import Callable
+from concurrent.futures import Future
 from typing import TypeVar
 
 from repro.analyze import (
@@ -165,6 +166,13 @@ class _StoreTier:
         return adopt(record)
 
 
+def _flight() -> Future:
+    """A build's future, set running so no awaiting task can cancel it."""
+    building: Future = Future()
+    building.set_running_or_notify_cancel()
+    return building
+
+
 class Toolchain:
     """Facade over the full Sapper flow with keyed artifact caching.
 
@@ -181,7 +189,7 @@ class Toolchain:
     (batched codegen included, see :meth:`batch_simulator`), and
     corrupt or stale entries fall back to recompute.  ``counters``
     tracks per-stage memory hits/misses, store hits/misses, and
-    request coalescing (bumped by the server's single-flight layer).
+    callers coalesced onto a build already in flight (see :meth:`cached`).
     """
 
     def __init__(
@@ -195,6 +203,10 @@ class Toolchain:
         self.store = store
         self._cache: OrderedDict = OrderedDict()
         self._lock = threading.RLock()
+        #: key -> the future of its build in progress (single flight)
+        self._building: dict[tuple, Future] = {}
+        #: flights opened by :meth:`reserve`: "reserved" | "building" | "built"
+        self._reserved: dict[tuple, str] = {}
         self.counters: dict[str, int] = {}
 
     # -- generic keyed cache ------------------------------------------------
@@ -228,40 +240,89 @@ class Toolchain:
         configured and the key is stable): read-through on miss,
         write-through after produce.
 
-        Thread-safe: the memory cache is consulted and updated under a
-        lock, but producers run outside it so distinct keys compile
-        concurrently under the server's worker pool.  If two threads
-        race on one key, the first published value wins -- identity of
-        cached artifacts stays stable.
+        Thread-safe and single-flight: the memory cache is consulted
+        under a lock, and producers run outside it so distinct keys
+        build concurrently.  A caller asking for a key that is being
+        built waits for that build instead of starting another, and
+        bumps ``coalesced:<stage>``; a failed build raises in every
+        waiter.  The first call for a key held by :meth:`reserve`
+        builds it.
         """
         stage = self._stage(key)
         with self._lock:
             entry = self._cache.get(key)
             if entry is not None:
                 self._cache.move_to_end(key)
-                self.counters[f"hit:{stage}"] = self.counters.get(f"hit:{stage}", 0) + 1
+                self.bump(f"hit:{stage}")
                 return entry[1]
-            self.counters[f"miss:{stage}"] = self.counters.get(f"miss:{stage}", 0) + 1
+            building = self._building.get(key)
+            owner = building is None or self._reserved.get(key) == "reserved"
+            self.bump(f"miss:{stage}" if owner else f"coalesced:{stage}")
+            if building is None:
+                building = self._building[key] = _flight()
+            elif owner:
+                self._reserved[key] = "building"
+        if not owner:
+            return building.result()
 
-        value = MISS
-        use_store = persist and self.store is not None and persistable_key(key)
-        if use_store:
-            value = self.store.get(key, default=MISS)
-            self.bump(f"store_hit:{stage}" if value is not MISS else f"store_miss:{stage}")
-        if value is MISS:
-            value = producer()
+        try:
+            value = MISS
+            use_store = persist and self.store is not None and persistable_key(key)
             if use_store:
-                self.store.put(key, value)
-
+                value = self.store.get(key, default=MISS)
+                self.bump(f"store_hit:{stage}" if value is not MISS else f"store_miss:{stage}")
+            if value is MISS:
+                value = producer()
+                if use_store:
+                    self.store.put(key, value)
+        except BaseException as exc:
+            self._land(key)
+            building.set_exception(exc)
+            raise
         with self._lock:
-            entry = self._cache.get(key)
-            if entry is not None:  # another thread won the race: keep first
-                self._cache.move_to_end(key)
-                return entry[1]
             self._cache[key] = (pin, value)
             while len(self._cache) > self.max_entries:
                 self._cache.popitem(last=False)
+            self._land(key)
+        building.set_result(value)
         return value
+
+    def _land(self, key: tuple) -> None:
+        """End *key*'s flight, unless :meth:`reserve` holds it open."""
+        with self._lock:
+            if key in self._reserved:
+                self._reserved[key] = "built"
+            else:
+                del self._building[key]
+
+    def reserve(self, key: tuple) -> tuple[Future | None, bool]:
+        """Single flight for a caller that must not block (an event loop)
+        before it submits work that calls ``cached(key)``: ``(None,
+        False)`` if *key* is cached; ``(future, False)`` if its flight is
+        open (``coalesced:<stage>``), to await before submitting; else
+        ``(future, True)``: the caller opened the flight, the first
+        ``cached(key)`` builds it, and later callers coalesce onto it
+        until the caller hands it to :meth:`release`."""
+        with self._lock:
+            building = self._building.get(key)
+            if building is not None:
+                self.bump(f"coalesced:{self._stage(key)}")
+                return building, False
+            if key in self._cache:
+                return None, False
+            building = self._building[key] = _flight()
+            self._reserved[key] = "reserved"
+            return building, True
+
+    def release(self, key: tuple, building: Future) -> None:
+        """Close a flight opened by :meth:`reserve`.  If no build took
+        it up, its waiters wake with ``None`` and build *key* themselves."""
+        with self._lock:
+            state = self._reserved.pop(key)
+            if state != "building":
+                del self._building[key]
+        if state == "reserved":
+            building.set_result(None)
 
     def clear_cache(self) -> None:
         with self._lock:
@@ -269,11 +330,8 @@ class Toolchain:
 
     def cache_info(self) -> dict[str, int]:
         """Entry counts per stage (the first key component)."""
-        info: dict[str, int] = {}
-        for key in self._cache:
-            stage = key[0] if isinstance(key, tuple) else str(key)
-            info[stage] = info.get(stage, 0) + 1
-        return info
+        with self._lock:
+            return dict(Counter(self._stage(key) for key in self._cache))
 
     # -- front-end stages ----------------------------------------------------
 
@@ -327,6 +385,12 @@ class Toolchain:
             key = ("check", *tail, ANALYSIS_VERSION)
         return self.cached(key, producer, pin=module, persist=True)
 
+    @staticmethod
+    def compile_key(source: Source, lattice: Lattice, secure: bool, name: str) -> tuple:
+        """The cache key of a :meth:`compile`; its tail is the design's
+        structural identity, shared by all its downstream artifacts."""
+        return ("compile", source_key(source), lattice_key(lattice), secure, name)
+
     def compile(
         self,
         source: Source,
@@ -334,9 +398,9 @@ class Toolchain:
         secure: bool = True,
         name: str = "design",
     ) -> CompiledDesign:
-        tail = (source_key(source), lattice_key(lattice), secure, name)
+        key = self.compile_key(source, lattice, secure, name)
         design = self.cached(
-            ("compile", *tail),
+            key,
             lambda: compile_program(
                 self.analyze(source, lattice, name), lattice, secure=secure, name=name
             ),
@@ -346,7 +410,7 @@ class Toolchain:
         # remember the structural identity so downstream artifacts
         # (optimized module, synthesis report, Verilog) can join the
         # persistent tier under the same key family
-        design._structural_key = tail  # type: ignore[attr-defined]
+        design._structural_key = key[1:]  # type: ignore[attr-defined]
         return design
 
     # -- mid-end -------------------------------------------------------------
@@ -364,12 +428,13 @@ class Toolchain:
         return None
 
     def optimize(self, design: Design) -> Module:
-        """The optimized module for *design* (memoized per module object,
-        persisted under the design's structural key when a store is
-        configured -- a warm start skips the whole pass pipeline)."""
+        """The optimized module for *design*: cached (single flight) and
+        persisted under the design's structural key, so a warm start
+        skips the whole pass pipeline.  A raw module handed in directly
+        is memoized per object by the pass pipeline alone."""
         module = self._module(design)
         tail = self._structural_tail(design)
-        if tail is None or self.store is None:
+        if tail is None:
             return _optimize(module, self.opt_level)
         return self.cached(
             ("optimize", *tail, self.opt_level, _passes.PASSES_DIGEST),

@@ -8,8 +8,9 @@ Four layers are pinned here:
   actionable message, never a dropped connection or a traceback.
 * **Single-flight coalescing** -- N concurrent requests for the same
   structural key cost exactly one build.  Proven twice: structurally
-  (a gated build stub counts invocations while requests pile up) and
-  end-to-end (the toolchain's own ``miss:compile`` counter stays at 1).
+  (a gate on the toolchain's compile producer counts invocations while
+  requests pile up) and end-to-end (the toolchain's own
+  ``miss:compile`` counter stays at 1).
 * **Transports** -- a real TCP round trip on an ephemeral port with
   concurrent clients, and the stdio loop.
 * **CLI error paths** -- occupied port, unusable store directory, and
@@ -24,9 +25,11 @@ import threading
 
 import pytest
 
+from repro import toolchain as toolchain_mod
 from repro.cli import main
+from repro.commands import LATTICES, proc_powerset
 from repro.sapper import samples
-from repro.server import LATTICES, ReproServer, proc_powerset
+from repro.server import ReproServer
 from repro.store import ArtifactStore
 from repro.toolchain import Toolchain
 
@@ -182,6 +185,25 @@ class TestProtocol:
         assert resp["ok"], resp
         assert resp["result"] == {"equivalent": True, "cycles": 16}
 
+    def test_verify_rejects_insecure_and_passes_name(self, server, monkeypatch):
+        resp = ask(server, {"op": "verify", "source": COUNTER, "secure": False})
+        assert resp["ok"] is False
+        assert "secure design only" in resp["error"], resp
+        import repro.sapper.crossval as crossval
+
+        seen = []
+        original = crossval.CrossValidation.build.__func__
+
+        def build(cls, source, lattice, name="design", optimized=True):
+            seen.append(name)
+            return original(cls, source, lattice, name, optimized)
+
+        monkeypatch.setattr(crossval.CrossValidation, "build", classmethod(build))
+        resp = ask(server, {"op": "verify", "source": COUNTER, "name": "counter",
+                            "cycles": 4})
+        assert resp["ok"], resp
+        assert seen == ["counter"]
+
     def test_synth_reports_cells(self, server):
         resp = ask(server, {"op": "synth", "source": COUNTER, "name": "counter"})
         assert resp["ok"], resp
@@ -223,54 +245,96 @@ class TestProtocol:
         assert set(LATTICES) == {"two", "diamond", "powerset"}
 
 
-class GatedServer(ReproServer):
-    """Build stub with a gate: requests pile up behind ``release`` so
-    coalescing is observable deterministically, and every *actual* build
-    invocation is recorded."""
+@pytest.fixture
+def gated_compile(monkeypatch):
+    """A gate on the toolchain's compile producer: builds pile up behind
+    ``gate.release`` so coalescing is observable deterministically, and
+    every *actual* compile is recorded in ``gate.calls``.  Designs named
+    in ``gate.free`` pass without waiting."""
+    real = toolchain_mod.compile_program
 
-    def __init__(self, **kw):
-        super().__init__(**kw)
-        self.release = threading.Event()
-        self.build_calls: list[tuple] = []
-        self._calls_lock = threading.Lock()
+    class Gate:
+        release = threading.Event()
+        calls: list[str] = []
+        free: set[str] = set()
+        lock = threading.Lock()
 
-    def _build_design(self, source, lattice_name, secure, name):
-        with self._calls_lock:
-            self.build_calls.append((source, lattice_name, secure, name))
-        assert self.release.wait(timeout=30), "gate never released"
-        return super()._build_design(source, lattice_name, secure, name)
+    def gated(info, lattice, secure=True, name="design"):
+        with Gate.lock:
+            Gate.calls.append(name)
+        if name not in Gate.free:
+            assert Gate.release.wait(timeout=30), "gate never released"
+        return real(info, lattice, secure=secure, name=name)
+
+    monkeypatch.setattr(toolchain_mod, "compile_program", gated)
+    yield Gate
+    Gate.release.set()  # never leave a pool thread parked on a failed test
+
+
+async def _coalesced(server: ReproServer, n: int, timeout: float = 20) -> None:
+    """Wait until *n* callers have coalesced onto a compile in flight."""
+    loop = asyncio.get_running_loop()
+    deadline = loop.time() + timeout
+    while server.tc.counter_snapshot().get("coalesced:compile", 0) < n:
+        assert loop.time() < deadline, server.tc.counter_snapshot()
+        await asyncio.sleep(0.005)
 
 
 class TestCoalescing:
-    def test_identical_requests_cost_one_build(self):
+    def test_identical_requests_cost_one_build(self, gated_compile):
         async def scenario():
-            server = GatedServer(max_workers=2)
+            server = ReproServer(max_workers=2)
             req = {"op": "compile", "source": COUNTER, "name": "counter"}
             tasks = [asyncio.create_task(server.handle_request(dict(req, id=i)))
                      for i in range(8)]
-            # let every task reach the single-flight layer before opening
-            # the gate, so each either started the build or coalesced
-            while len(server._inflight) < 1 or server.counters["coalesced"] < 7:
-                await asyncio.sleep(0.005)
-            server.release.set()
+            # let every request reach the toolchain's single-flight layer
+            # before opening the gate: one builds, seven wait on the loop
+            await _coalesced(server, 7)
+            gated_compile.release.set()
             resps = await asyncio.gather(*tasks)
             return server, resps
 
         server, resps = run(scenario())
         assert all(r["ok"] for r in resps), resps
-        assert len(server.build_calls) == 1
-        assert server.counters["coalesced"] == 7
-        assert server.tc.counter_snapshot().get("coalesced") == 7
+        assert gated_compile.calls == ["counter"]
+        counters = server.tc.counter_snapshot()
+        assert counters.get("coalesced:compile") == 7
+        assert counters.get("miss:compile") == 1
         keys = {r["result"]["key"] for r in resps}
         assert len(keys) == 1  # everyone got the same artifact
 
-    def test_distinct_keys_all_progress_under_bounded_pool(self):
+    def test_waiters_leave_the_pool_to_other_designs(self, gated_compile):
+        """Four identical requests whose compile is gated hold one pool
+        thread between them, so a distinct design still completes on the
+        default four-thread pool while they are pending."""
+        gated_compile.free.add("other")
+
+        async def scenario():
+            server = ReproServer()
+            req = {"op": "compile", "source": COUNTER, "name": "counter"}
+            held = [asyncio.create_task(server.handle_request(dict(req, id=i)))
+                    for i in range(4)]
+            await _coalesced(server, 3)
+            other = await asyncio.wait_for(server.handle_request(
+                {"id": 9, "op": "simulate", "source": COUNTER, "name": "other"}
+            ), timeout=30)
+            pending = [not task.done() for task in held]
+            gated_compile.release.set()
+            return other, pending, await asyncio.gather(*held)
+
+        other, pending, resps = run(scenario())
+        assert other["ok"], other
+        assert all(pending)
+        assert all(r["ok"] for r in resps), resps
+        assert sorted(gated_compile.calls) == ["counter", "other"]
+
+    def test_distinct_keys_all_progress_under_bounded_pool(self, gated_compile):
         """More distinct designs than worker threads: all complete, no
         deadlock, and none coalesce onto each other."""
 
         async def scenario():
-            server = GatedServer(max_workers=2)
-            server.release.set()  # no gating: just bounded-pool progress
+            server = ReproServer(max_workers=2)
+            gated_compile.release.set()  # no gating: just bounded-pool progress
             sources = [f"// variant {i}\n" + COUNTER for i in range(6)]
             tasks = [
                 asyncio.create_task(server.handle_request(
@@ -281,13 +345,15 @@ class TestCoalescing:
 
         server, resps = run(scenario())
         assert all(r["ok"] for r in resps), resps
-        assert len(server.build_calls) == 6
-        assert server.counters["coalesced"] == 0
+        assert sorted(gated_compile.calls) == [f"c{i}" for i in range(6)]
+        assert server.tc.counter_snapshot().get("coalesced:compile") is None
         assert len({r["result"]["key"] for r in resps}) == 6
 
     def test_single_flight_proven_by_toolchain_counters(self):
         """End to end, without stubs: 5 concurrent identical compiles
-        reach the real toolchain exactly once."""
+        reach the real toolchain exactly once.  The four that coalesced
+        onto that build each read the finished design from the memory
+        cache once when their own command runs."""
 
         async def scenario():
             server = ReproServer(max_workers=4)
@@ -301,8 +367,8 @@ class TestCoalescing:
         assert all(r["ok"] for r in resps)
         counters = server.tc.counter_snapshot()
         assert counters.get("miss:compile") == 1, counters
-        assert counters.get("hit:compile") is None
-        assert server.counters["coalesced"] == 4
+        assert counters.get("coalesced:compile") == 4, counters
+        assert counters.get("hit:compile") == 4, counters
 
     def test_sequential_requests_hit_the_memory_cache(self, server):
         req = {"op": "compile", "source": COUNTER, "name": "counter"}
@@ -311,7 +377,7 @@ class TestCoalescing:
         counters = server.tc.counter_snapshot()
         assert counters.get("miss:compile") == 1
         assert counters.get("hit:compile") == 1
-        assert server.counters["coalesced"] == 0  # not in flight anymore
+        assert counters.get("coalesced:compile") is None  # not in flight anymore
 
     def test_warm_family_prebuilds_through_single_flight(self, tmp_path):
         async def scenario():

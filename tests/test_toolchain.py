@@ -2,6 +2,8 @@
 
 import gc
 import re
+import sys
+import threading
 import weakref
 from collections import OrderedDict
 
@@ -186,6 +188,168 @@ class TestCacheLRU:
         gc.collect()
         assert ref() is None
 
+    def test_cache_info_is_safe_under_concurrent_inserts(self):
+        """Pool threads insert and evict while a ``stats`` request reads
+        ``cache_info``: the read must never see the dict mid-mutation."""
+        tc = Toolchain(max_entries=8)
+        stop = threading.Event()
+        errors: list[BaseException] = []
+
+        def writer(offset):
+            i = 0
+            while not stop.is_set():
+                tc.cached(("w", offset, i), lambda: i)
+                i += 1
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        threads = [threading.Thread(target=writer, args=(n,)) for n in range(2)]
+        try:
+            for t in threads:
+                t.start()
+            for _ in range(20_000):
+                try:
+                    tc.cache_info()
+                except RuntimeError as exc:
+                    errors.append(exc)
+        finally:
+            stop.set()
+            for t in threads:
+                t.join(timeout=10)
+            sys.setswitchinterval(previous)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+
+    def test_reserve_and_cached_stress_builds_each_key_once(self):
+        """Threads mixing the event-loop entry (reserve/release) with
+        plain ``cached`` calls on shared keys: each key is built exactly
+        once, everyone sees that one value, and no flight is left open."""
+        tc = Toolchain(max_entries=1000)
+        keys = [("s", i) for i in range(40)]
+        built: dict[tuple, int] = {}
+        seen: dict[tuple, set] = {key: set() for key in keys}
+        lock = threading.Lock()
+
+        def produce(key):
+            with lock:
+                built[key] = built.get(key, 0) + 1
+            return object()
+
+        errors: list[BaseException] = []
+
+        start = threading.Barrier(8)
+
+        def worker(n):
+            try:
+                start.wait(timeout=10)
+                for key in keys if n % 2 else keys[::-1]:
+                    building, mine = tc.reserve(key) if n % 3 else (None, False)
+                    if building is not None and not mine:
+                        building.result(timeout=10)
+                    value = tc.cached(key, lambda key=key: produce(key))
+                    if mine:
+                        tc.release(key, building)
+                    with lock:
+                        seen[key].add(id(value))
+            except BaseException as exc:
+                errors.append(exc)
+                raise
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        # daemon: a thread stuck on a lost flight must not hang the run
+        threads = [threading.Thread(target=worker, args=(n,), daemon=True) for n in range(8)]
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert built == {key: 1 for key in keys}
+        assert all(len(ids) == 1 for ids in seen.values())
+        assert tc._building == {} and tc._reserved == {}
+
+    def test_concurrent_callers_share_one_build(self):
+        tc = Toolchain()
+        release = threading.Event()
+        calls = []
+
+        def producer():
+            calls.append(1)
+            assert release.wait(timeout=30)
+            return object()
+
+        results = []
+        threads = [
+            threading.Thread(target=lambda: results.append(tc.cached(("k", 1), producer)))
+            for _ in range(6)
+        ]
+        for t in threads:
+            t.start()
+        while tc.counter_snapshot().get("coalesced:k", 0) < 5:
+            threading.Event().wait(0.005)
+        release.set()
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+        assert len(calls) == 1 and len(results) == 6
+        assert all(r is results[0] for r in results)
+        assert tc.counter_snapshot() == {"miss:k": 1, "coalesced:k": 5}
+
+    def test_failed_build_raises_in_every_waiter_and_is_not_cached(self):
+        tc = Toolchain()
+        release = threading.Event()
+
+        def producer():
+            assert release.wait(timeout=30)
+            raise ValueError("broken design")
+
+        errors = []
+
+        def call():
+            try:
+                tc.cached(("k", 2), producer)
+            except ValueError as exc:
+                errors.append(str(exc))
+
+        threads = [threading.Thread(target=call) for _ in range(3)]
+        for t in threads:
+            t.start()
+        while tc.counter_snapshot().get("coalesced:k", 0) < 2:
+            threading.Event().wait(0.005)
+        release.set()
+        for t in threads:
+            t.join(timeout=30)
+        assert errors == ["broken design"] * 3
+        assert tc.cached(("k", 2), lambda: "fixed") == "fixed"
+
+    def test_reserved_flight_is_built_by_the_first_cached_call(self):
+        tc = Toolchain()
+        key = ("k", 3)
+        building, mine = tc.reserve(key)
+        assert mine and not building.cancel()  # an awaiting task cannot cancel it
+        waiting, mine2 = tc.reserve(key)
+        assert waiting is building and not mine2
+        assert tc.cached(key, lambda: "built") == "built"  # takes the flight up
+        # the flight stays open until release: a late async caller still
+        # coalesces onto it instead of probing the cache
+        assert tc.reserve(key) == (building, False)
+        tc.release(key, building)
+        assert building.result() == "built"
+        assert tc.reserve(key) == (None, False)  # cached, nothing in flight
+        assert tc.counter_snapshot() == {"coalesced:k": 2, "miss:k": 1}
+
+    def test_released_unbuilt_flight_wakes_its_waiters(self):
+        tc = Toolchain()
+        building, _ = tc.reserve(("k", 4))
+        waiting, _ = tc.reserve(("k", 4))
+        tc.release(("k", 4), building)
+        assert waiting.result(timeout=1) is None  # waiters then build it themselves
+        assert tc.cached(("k", 4), lambda: "late") == "late"
+
     def test_max_entries_bounds_real_compiles(self):
         tc = Toolchain(max_entries=3)
         lat = two_level()
@@ -266,6 +430,15 @@ class TestCli:
         assert "18 active lane-cycles" in out and "final occupancy 1/4" in out
         assert "# lane 3" in out and "'v': 20" in out  # original-lane mapping
 
+    @pytest.mark.parametrize("cycles", ["0", "-5"])
+    def test_simulate_rejects_non_positive_cycles(self, tdma_file, cycles):
+        with pytest.raises(SystemExit, match="field 'cycles' must be >= 1"):
+            main(["simulate", tdma_file, "-n", cycles, "--quiet"])
+        with pytest.raises(SystemExit, match="field 'cycles' must be >= 1"):
+            main(["simulate", tdma_file, "-n", cycles, "--lanes", "4", "--quiet"])
+        with pytest.raises(SystemExit, match="field 'lanes' must be >= 1"):
+            main(["simulate", tdma_file, "--lanes", cycles, "--quiet"])
+
     def test_simulate_per_lane_inputs_need_lanes(self, tmp_path):
         path = tmp_path / "halting.sapper"
         path.write_text(self.HALTING)
@@ -290,6 +463,11 @@ class TestCli:
         assert main(["compile", tdma_file, "--insecure", "--lattice", "diamond"]) == 0
         out = capsys.readouterr().out
         assert "violation" not in out  # Base design has no checks
+
+    def test_label_outside_the_lattice_is_reported_cleanly(self, tdma_file, capsys):
+        # TDMA labels data H; the powerset lattice has no such level
+        assert main(["compile", tdma_file, "--lattice", "powerset"]) == 1
+        assert "unknown security label 'H'" in capsys.readouterr().err
 
     def test_missing_file_is_reported(self, capsys):
         assert main(["compile", "/nonexistent/x.sapper"]) == 2
