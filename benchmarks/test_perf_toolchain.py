@@ -1,8 +1,9 @@
 """Toolchain performance benchmarks (not a paper figure).
 
 Tracks the speed of the pieces a user iterates on: the Sapper compiler,
-the HDL optimization pipeline, the HDL simulator (cycles/second on the
-full processor, raw and optimized), the lane-batched simulator
+the HDL optimization pipeline, the cold ``simulate --lanes 64`` build,
+the HDL simulator (cycles/second on the full processor, raw and
+optimized), the lane-batched simulator
 (aggregate lane-cycles/second vs N scalar runs, the NumPy vector tier
 vs SWAR at wide lane counts plus the engine lane-scaling ladder, and
 lane compaction on a skewed workload suite), the multiprocess fleet's
@@ -527,6 +528,24 @@ def test_tag_prune_counters(benchmark):
 
 
 WARM_LANES = 64
+
+
+def test_cold_build_speed(benchmark):
+    """Source text to the first step of a 64-lane auto-engine simulator
+    on a fresh Toolchain with no store: the cold ``repro simulate
+    --lanes 64`` build (front end, pass pipeline, batched codegen and
+    the reset binding's fold), timed as a whole."""
+    from repro.toolchain import Toolchain
+
+    src = generate_design()
+    lat = two_level()
+
+    def cold():
+        tc = Toolchain()
+        design = tc.compile(src, lat, name="proc")
+        return tc.batch_simulator(design, WARM_LANES, engine="auto").step()
+
+    benchmark.pedantic(cold, rounds=3, iterations=1)
 
 
 def test_warm_start_speedup(benchmark, tmp_path):

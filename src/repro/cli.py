@@ -22,7 +22,6 @@ from collections.abc import Sequence
 
 from repro import commands
 from repro.commands import LATTICES, RequestError
-from repro.hdl.passes import MAX_OPT_LEVEL
 from repro.lattice import LatticeError
 from repro.sapper.errors import SapperError
 from repro.store import ArtifactStore, StoreError
@@ -280,7 +279,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                 "hint: --store needs a creatable, writable directory; "
                 "check the path and its permissions"
             )
-    tc = Toolchain(0 if getattr(args, "no_opt", False) else MAX_OPT_LEVEL, store=store)
+    tc = Toolchain(0 if getattr(args, "no_opt", False) else 1, store=store)
     try:
         return _COMMANDS[args.command](args, tc)
     except FileNotFoundError as exc:

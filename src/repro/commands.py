@@ -21,7 +21,7 @@ from typing import Any
 
 from repro.analyze import analyze_design
 from repro.hdl.ir import HRef
-from repro.hdl.passes import MAX_OPT_LEVEL, run_pipeline
+from repro.hdl.passes import run_pipeline
 from repro.lattice import Lattice, diamond, from_order, powerset, two_level
 from repro.sapper.compiler import CompiledDesign
 from repro.toolchain import BATCH_ENGINES, Toolchain, auto_engine
@@ -66,7 +66,7 @@ def check_type(name: str, value: Any, kind: type) -> None:
 @dataclass(frozen=True)
 class DesignRequest:
     """A design to build: Sapper source text and how to compile it
-    (the toolchain's ``opt_level`` says how far to optimize it)."""
+    (the toolchain's ``opt_level`` says whether to optimize it)."""
 
     source: str
     lattice: str = "two"
@@ -392,7 +392,7 @@ def simulate(tc: Toolchain, req: SimulateRequest, on_step=None) -> SimulateResul
     if req.shards > 1:
         from repro.fleet import simulate_sharded
 
-        if tc.opt_level != MAX_OPT_LEVEL:
+        if not tc.opt_level:
             raise RequestError("sharded runs share fully optimized artifacts; drop no-opt")
         # the fleet parent compiles into the store its workers share
         design, run, fleet_stats = simulate_sharded(req, store=tc.store)

@@ -37,10 +37,11 @@ the loop that computes them.
 
 **Uniform-state fast path** -- when every lane agrees on the value of
 the module's narrow control registers (FSM/fall registers), the step
-dispatches to a *specialized* body: the module partially evaluated under
-that binding and re-optimized by :func:`repro.hdl.passes.optimize`'s
-pipeline.  Bodies are compiled lazily per observed state and cached;
-bindings that fail to shrink the module are remembered and skipped.
+dispatches to a *specialized* body: the module bound to those values
+over the cone its sinks still read (:func:`repro.hdl.passes.bind`) and
+re-optimized by the standard pass pipeline.  Bodies are compiled lazily
+per observed state and cached; bindings that fail to shrink the module
+are remembered and skipped.
 
 **Lane compaction** -- :meth:`BatchSimulator.compact` retires lanes
 mid-run (halted machines, exhausted budgets), repacking every piece of
@@ -73,7 +74,7 @@ from collections.abc import Callable, Sequence
 from typing import NamedTuple
 
 from repro.hdl.ir import HConst, HExpr, HOp, HRef, Module, significant_bits
-from repro.hdl.passes import PASSES_DIGEST
+from repro.hdl.passes import PASSES_DIGEST, bind, run_pipeline
 from repro.hdl.passes.base import WeakIdMemo
 from repro.hdl.sim import _SIGNED_HELPER, _CodeGen, nests_within
 from repro.hdl.swar import SWAR_MAX_WIDTH, get_layout
@@ -710,8 +711,8 @@ class _BatchCodeGen(_CodeGen):
             # the effective width against *every* level's truncation:
             # canonical packed values carry no bits at or above their
             # width, and a mask reaching past pitch - lo would scoop up
-            # the neighbouring lane's slot (the narrowing pass legally
-            # shrinks operands under slices sized for the padded width)
+            # the neighbouring lane's slot (a slice may be sized for a
+            # wider operand than the one it reads)
             arg, lo, limit = e.args[0], e.lo, w
             while True:
                 limit = min(limit, arg.width - lo)
@@ -1351,34 +1352,11 @@ class _BatchCodeGen(_CodeGen):
 
 
 def _fold_module(module: Module, binding: dict[str, int]) -> Module:
-    """*module* with the bound registers replaced by constants, then
-    re-optimized.  Architectural state (registers, arrays, ports) is
-    preserved, so the folded module is a drop-in step-function source for
-    any cycle on which every lane holds the bound values."""
-    from repro.hdl.passes import run_pipeline
-
-    def sub(e: HExpr) -> HExpr:
-        if isinstance(e, HRef) and e.name in binding:
-            return HConst(binding[e.name], e.width)
-        if isinstance(e, HOp):
-            return HOp(e.op, tuple(sub(a) for a in e.args), e.width, e.hi, e.lo, e.array)
-        return e
-
-    out = Module(module.name)
-    out.inputs = dict(module.inputs)
-    out.regs = dict(module.regs)
-    out.arrays = dict(module.arrays)
-    out.reg_next = dict(module.reg_next)
-    out.outputs = dict(module.outputs)
-    out.array_writes = list(module.array_writes)
-    out._counter = module._counter
-    out.comb = [(n, sub(e)) for n, e in module.comb]
-    widths = dict(module.inputs)
-    widths.update({name: r.width for name, r in module.regs.items()})
-    for name, e in out.comb:
-        widths[name] = e.width
-    out._widths = widths
-    return run_pipeline(out).module
+    """*module* bound to *binding* over its live cone, then re-optimized.
+    Architectural state (registers, arrays, ports) is preserved, so the
+    folded module is a drop-in step-function source for any cycle on
+    which every lane holds the bound values."""
+    return run_pipeline(bind(module, binding)).module
 
 
 def _dispatch_regs(module: Module, max_width: int = 4, max_regs: int = 4) -> list[str]:

@@ -10,13 +10,15 @@ for once, here, instead of three times downstream.
   aliases, applies mux/boolean/algebraic identities (``mux(c, x, x)``,
   ``x & 0``, constant guards, ...) and value-numbers duplicated tag
   joins, Fcd upgrades, and forwarding comparisons;
-* :class:`NarrowWidths` -- shrink provably-narrow operators below the
-  SWAR width boundary;
 * :class:`DeadSignalElim` -- drop signals that feed no register
   next-value, array port, or output; prune never-firing write ports.
 
-:func:`optimize` runs the standard pipeline with a per-module memo so
-every backend sees the same optimized object without re-running passes.
+``[Rewrite, DeadSignalElim]`` is the one pipeline.  :func:`optimize`
+runs it with a per-module memo so every backend sees the same optimized
+object without re-running passes.  :func:`bind` specializes a module to
+constant register values over the cone its sinks still read (the
+batched simulator's folded bodies), and the same pipeline then runs on
+that cone alone.
 """
 
 from __future__ import annotations
@@ -33,8 +35,8 @@ from repro.hdl.passes.base import (
     WeakIdMemo,
     rebuild,
 )
+from repro.hdl.passes.bind import bind
 from repro.hdl.passes.dce import DeadSignalElim
-from repro.hdl.passes.narrow import NarrowWidths
 from repro.hdl.passes.rewrite import Rewrite, eval_op
 
 def _passes_digest() -> str:
@@ -52,25 +54,17 @@ def _passes_digest() -> str:
 #: persisted optimized modules and their backend artifacts key on it.
 PASSES_DIGEST = _passes_digest()
 
-#: Highest supported optimization level.
-MAX_OPT_LEVEL = 2
+
+def default_passes() -> list[Pass]:
+    """The standard pipeline."""
+    return [Rewrite(), DeadSignalElim()]
 
 
-def default_passes(level: int = MAX_OPT_LEVEL) -> list[Pass]:
-    """The standard pipeline for *level* (0 = none, 1 = rewrite+dce,
-    2 = rewrite+narrow+dce)."""
-    if level <= 0:
-        return []
-    if level == 1:
-        return [Rewrite(), DeadSignalElim()]
-    return [Rewrite(), NarrowWidths(), DeadSignalElim()]
-
-
-# raw module -> {level: optimized module}
+# raw module -> optimized module
 _MEMO = WeakIdMemo()
 
 
-def optimize(module: Module, level: int = MAX_OPT_LEVEL) -> Module:
+def optimize(module: Module) -> Module:
     """Run the standard pass pipeline on *module* (memoized).
 
     Already-optimized modules pass through untouched; the same raw
@@ -78,39 +72,31 @@ def optimize(module: Module, level: int = MAX_OPT_LEVEL) -> Module:
     simulator, synthesizer, and Verilog emitter all agree on what they
     consume.
     """
-    if level <= 0 or getattr(module, "_opt_level", None) is not None:
+    if getattr(module, "_opt_stats", None) is not None:
         return module
-    levels = _MEMO.get(module)
-    if levels is None:
-        levels = {}
-        _MEMO.set(module, levels)
-    cached = levels.get(level)
-    if cached is not None:
-        return cached
-
-    result = PassManager(default_passes(level)).run(module)
-    optimized = result.module
-    optimized._opt_level = level  # type: ignore[attr-defined]
-    optimized._opt_stats = result.stats  # type: ignore[attr-defined]
-    levels[level] = optimized
+    optimized = _MEMO.get(module)
+    if optimized is None:
+        result = run_pipeline(module)
+        optimized = result.module
+        optimized._opt_stats = result.stats  # type: ignore[attr-defined]
+        _MEMO.set(module, optimized)
     return optimized
 
 
-def run_pipeline(module: Module, level: int = MAX_OPT_LEVEL) -> OptResult:
+def run_pipeline(module: Module) -> OptResult:
     """Run the pipeline without memoization, returning per-pass stats."""
-    return PassManager(default_passes(level)).run(module)
+    return PassManager(default_passes()).run(module)
 
 
 __all__ = [
     "DeadSignalElim",
-    "MAX_OPT_LEVEL",
-    "NarrowWidths",
     "OptResult",
     "PASSES_DIGEST",
     "Pass",
     "PassManager",
     "PassStat",
     "Rewrite",
+    "bind",
     "default_passes",
     "eval_op",
     "optimize",

@@ -283,6 +283,19 @@ def _simplify(e: HOp, defs: dict[str, HExpr]) -> HExpr:
     return e
 
 
+def _reduce(node: HOp, defs: dict[str, HExpr]) -> HExpr:
+    """*node* folded and simplified until it stops changing (or for
+    :data:`_MAX_LOCAL_STEPS` rule applications)."""
+    for _ in range(_MAX_LOCAL_STEPS):
+        new = _fold(node)
+        if new is node:
+            new = _simplify(node, defs)
+        if new is node or not isinstance(new, HOp):
+            return new
+        node = new
+    return node
+
+
 class Rewrite(Pass):
     """Fold, simplify and value-number the SSA block in one walk."""
 
@@ -305,16 +318,8 @@ class Rewrite(Pass):
             node = e if all(a is b for a, b in zip(args, e.args)) else HOp(
                 e.op, args, e.width, hi=e.hi, lo=e.lo, array=e.array
             )
-            for _ in range(_MAX_LOCAL_STEPS):
-                new = _fold(node)
-                if new is node:
-                    new = _simplify(node, defs)
-                if new is node:
-                    break
-                node = new
-                if not isinstance(node, HOp):
-                    return node
-            return table.get(node, node)
+            node = _reduce(node, defs)
+            return table.get(node, node) if isinstance(node, HOp) else node
 
         changed = False
         new_comb: list[tuple[str, HExpr]] = []

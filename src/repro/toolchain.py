@@ -51,7 +51,7 @@ from repro.hdl import (
 )
 from repro.hdl import batch as _batch, passes as _passes
 from repro.hdl.ir import Module
-from repro.hdl.passes import MAX_OPT_LEVEL, optimize as _optimize
+from repro.hdl.passes import optimize as _optimize
 from repro.hdl.synth import CostReport
 from repro.lattice import Lattice
 from repro.sapper import ast
@@ -190,14 +190,23 @@ class Toolchain:
     corrupt or stale entries fall back to recompute.  ``counters``
     tracks per-stage memory hits/misses, store hits/misses, and
     callers coalesced onto a build already in flight (see :meth:`cached`).
+
+    *opt_level* is 0 (every backend consumes the raw compiled module)
+    or 1 (the standard pass pipeline first); anything else raises
+    ValueError, so two toolchains that build the same artifacts always
+    share their keys.
     """
 
     def __init__(
         self,
-        opt_level: int = MAX_OPT_LEVEL,
+        opt_level: int = 1,
         max_entries: int = 128,
         store: ArtifactStore | None = None,
     ):
+        if type(opt_level) is not int or opt_level not in (0, 1):
+            raise ValueError(
+                f"opt_level must be 0 (raw) or 1 (optimized), got {opt_level!r}"
+            )
         self.opt_level = opt_level
         self.max_entries = max_entries
         self.store = store
@@ -431,14 +440,17 @@ class Toolchain:
         """The optimized module for *design*: cached (single flight) and
         persisted under the design's structural key, so a warm start
         skips the whole pass pipeline.  A raw module handed in directly
-        is memoized per object by the pass pipeline alone."""
+        is memoized per object by the pass pipeline alone.  At
+        ``opt_level`` 0 this is the raw module."""
         module = self._module(design)
+        if not self.opt_level:
+            return module
         tail = self._structural_tail(design)
         if tail is None:
-            return _optimize(module, self.opt_level)
+            return _optimize(module)
         return self.cached(
-            ("optimize", *tail, self.opt_level, _passes.PASSES_DIGEST),
-            lambda: _optimize(module, self.opt_level),
+            ("optimize", *tail, _passes.PASSES_DIGEST),
+            lambda: _optimize(module),
             pin=module,
             persist=True,
         )

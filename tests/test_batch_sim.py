@@ -216,29 +216,29 @@ class TestSwarTier:
         assert BatchSimulator(ok, 2, optimize=False).step()
 
     def test_narrowed_slice_does_not_leak_across_lanes(self):
-        """The narrowing pass legally shrinks a signal under a slice
-        whose lo/hi were sized for the old padded width; the SWAR slice
-        emitter must clamp against the operand width instead of
+        """A 9-bit sum under slices whose lo/hi were sized for a 64-bit
+        operand (the shape width narrowing used to leave): the SWAR
+        slice emitter must clamp against the operand width instead of
         shifting the neighbouring lane's slot into view (regression:
         lane 0 used to read lanes 3-4's bits)."""
         from repro.hdl import HOp, HRef, Module
-        from repro.hdl.passes import run_pipeline
 
         m = Module("t")
         x = m.add_input("x", 8)
         y = m.add_input("y", 8)
-        m.assign("s", HOp("add", (HOp("zext", (x,), 64), HOp("zext", (y,), 64)), 64))
-        m.assign("hifield", HOp("slice", (HRef("s", 64),), 6, hi=40, lo=35))
-        m.assign("lofield", HOp("slice", (HRef("s", 64),), 6, hi=8, lo=3))
-        m.assign("bit", HOp("slice", (HRef("s", 64),), 1, hi=35, lo=35))
-        r = m.add_reg("acc", 6)
+        m.assign("s", HOp("add", (HOp("zext", (x,), 9), HOp("zext", (y,), 9)), 9))
+        m.assign("hifield", HOp("slice", (HRef("s", 9),), 6, hi=40, lo=35))
+        m.assign("lofield", HOp("slice", (HRef("s", 9),), 6, hi=8, lo=3))
+        m.assign("bit", HOp("slice", (HRef("s", 9),), 1, hi=35, lo=35))
+        m.add_reg("acc", 6)
         m.assign("nxt", HOp("or", (HRef("hifield", 6), HRef("lofield", 6)), 6))
         m.set_reg_next("acc", HRef("nxt", 6))
         m.set_output("o", HRef("nxt", 6))
         m.set_output("b", HRef("bit", 1))
-        opt = run_pipeline(m).module
-        batch = BatchSimulator(opt, 4, optimize=False)
-        sims = [Simulator(opt, optimize=False) for _ in range(4)]
+        m.validate()
+        batch = BatchSimulator(m, 4, optimize=False)
+        assert set(batch.signal_tiers.values()) == {"w"}
+        sims = [Simulator(m, optimize=False) for _ in range(4)]
         for cycle in range(24):
             inputs = [
                 {"x": (37 * lane + cycle) & 255, "y": (91 * lane + 3 * cycle) & 255}
@@ -246,7 +246,7 @@ class TestSwarTier:
             ]
             want = [s.step(i) for s, i in zip(sims, inputs)]
             assert batch.step(inputs) == want, cycle
-            assert_lanes_match_scalars(opt, batch, sims, cycle)
+            assert_lanes_match_scalars(m, batch, sims, cycle)
 
     def test_nested_slice_keeps_every_truncation(self):
         """An outer slice reaching past an inner slice's top must see

@@ -1,8 +1,9 @@
 """Unit and property tests for the HDL optimization pipeline.
 
 Covers each pass in isolation (the rewrite walk's constant folding,
-mux/boolean simplification and value numbering, width narrowing,
-dead-signal elimination), the pipeline's fixpoint, its
+mux/boolean simplification and value numbering, dead-signal
+elimination), the live-cone binder behind the batched simulator's
+folded bodies, the pipeline's fixpoint, its
 architectural-equivalence contract on sample designs, the memoization
 of :func:`repro.hdl.passes.optimize`, and the GLIFT shadow-taint
 invariance property: bit-blasting an optimized module must yield the
@@ -10,20 +11,26 @@ same value *and* taint behaviour as the raw module on the evaluation
 designs.
 """
 
+import random
+import sys
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.glift import GliftSimulator
 from repro.hdl import HConst, HOp, HRef, Module, Simulator
+from repro.hdl.batch import _dispatch_regs
+from repro.hdl.ir import ArrayWrite
 from repro.hdl.netlist import bit_blast
 from repro.hdl.passes import (
     DeadSignalElim,
-    NarrowWidths,
     PassManager,
     Rewrite,
+    bind,
     default_passes,
     optimize,
+    rebuild,
     run_pipeline,
 )
 from repro.lattice import two_level
@@ -31,7 +38,7 @@ from repro.proc.machine import compile_processor
 from repro.sapper import samples
 from repro.sapper.analysis import analyze
 from repro.sapper.compiler import compile_program
-from repro.toolchain import get_toolchain
+from repro.toolchain import Toolchain, get_toolchain
 
 from tests import strategies
 
@@ -207,82 +214,6 @@ class TestCse:
         assert find(out, "e") == HRef("d", 8)
 
 
-class TestNarrowWidths:
-    """The SWAR-enabling narrowing pre-pass: oversized operators shrink
-    to their significant-bit bound, shrinkable signals lose their zext
-    padding outright, and everything stays bit-exact."""
-
-    def padded_module(self):
-        m = Module("t")
-        x = m.add_input("x", 8)
-        y = m.add_input("y", 8)
-        m.assign("wx", HOp("zext", (x,), 64))
-        m.assign("wy", HOp("zext", (y,), 64))
-        m.assign("s", HOp("add", (HRef("wx", 64), HRef("wy", 64)), 64))
-        m.assign("hit", HOp("eq", (HRef("s", 64), HConst(300, 64)), 1))
-        m.set_output("hit", HRef("hit", 1))
-        return m
-
-    def test_narrows_padded_add_and_compare(self):
-        out, changed = NarrowWidths().run(self.padded_module())
-        assert changed
-        widths = {n: e.width for n, e in out.comb}
-        # the 64-bit add now computes at its 9-bit bound
-        assert widths["s"] <= 33
-        # idempotent: a second run is a no-op
-        out2, changed2 = NarrowWidths().run(out)
-        assert not changed2 and out2 is out
-
-    def test_signal_shrinking_is_bit_exact(self):
-        import random
-
-        m = self.padded_module()
-        opt = run_pipeline(m).module
-        assert all(e.width <= 33 for _, e in opt.comb)
-        raw, new = Simulator(m, optimize=False), Simulator(opt, optimize=False)
-        rng = random.Random(5)
-        for _ in range(256):
-            inp = {"x": rng.randrange(256), "y": rng.randrange(256)}
-            assert raw.step(inp) == new.step(inp)
-
-    def test_protected_signals_keep_declared_widths(self):
-        m = Module("t")
-        x = m.add_input("x", 8)
-        r = m.add_reg("r", 64)
-        m.assign("wide", HOp("zext", (x,), 64))
-        m.set_reg_next("r", HRef("wide", 64))
-        m.set_output("o", HRef("wide", 64))
-        out, _ = NarrowWidths().run(m)
-        out.validate()
-        assert dict(out.comb)["wide"].width == 64
-
-    def test_leaves_genuinely_wide_values_alone(self):
-        m = Module("t")
-        x = m.add_input("x", 40)
-        y = m.add_input("y", 40)
-        m.assign("s", HOp("add", (x, y), 40))  # bound 41 > limit
-        m.set_output("o", HRef("s", 40))
-        out, changed = NarrowWidths().run(m)
-        assert not changed and out is m
-
-    def test_width_sensitive_consumers_get_rewrapped(self):
-        import random
-
-        m = Module("t")
-        x = m.add_input("x", 8)
-        m.assign("w", HOp("zext", (x,), 64))
-        # sext reads the declared argument width: must stay wrapped
-        m.assign("sx", HOp("sext", (HOp("slice", (HRef("w", 64),), 8, hi=7, lo=0),), 16))
-        m.assign("out", HOp("add", (HRef("sx", 16), HConst(1, 16)), 16))
-        m.set_output("o", HRef("out", 16))
-        opt = run_pipeline(m).module
-        raw, new = Simulator(m, optimize=False), Simulator(opt, optimize=False)
-        rng = random.Random(9)
-        for _ in range(256):
-            inp = {"x": rng.randrange(256)}
-            assert raw.step(inp) == new.step(inp)
-
-
 class TestDce:
     def test_drops_dead_keeps_live(self):
         m = Module("t")
@@ -327,6 +258,123 @@ class TestDce:
         assert [n for n, _ in out.comb] == ["a"]
 
 
+def fold_everything(module, binding):
+    """The whole-module fold :func:`bind` replaces: the binding
+    substituted into every signal and write port, then the pipeline."""
+
+    def sub(e):
+        if isinstance(e, HRef) and e.name in binding:
+            return HConst(binding[e.name], e.width)
+        if isinstance(e, HOp):
+            return HOp(e.op, tuple(sub(a) for a in e.args), e.width, e.hi, e.lo, e.array)
+        return e
+
+    writes = [
+        ArrayWrite(wr.array, sub(wr.addr), sub(wr.data), sub(wr.enable))
+        for wr in module.array_writes
+    ]
+    comb = [(name, sub(e)) for name, e in module.comb]
+    return run_pipeline(rebuild(module, comb, array_writes=writes)).module
+
+
+class TestBind:
+    """The live-cone binder: a constant selector demands one arm, a
+    write port whose enable folds to zero goes, untouched definitions
+    keep their objects, and on random programs one step of the bound
+    module equals one step of the raw module from any state holding the
+    bound values."""
+
+    @staticmethod
+    def fsm():
+        m = Module("fsm")
+        st_ = m.add_reg("st", 2)
+        x = m.add_input("x", 8)
+        m.add_array("ram", 8, 4)
+        m.assign("busy", HOp("mul", (x, x), 8))
+        m.assign("idle", HOp("add", (x, HConst(1, 8)), 8))
+        m.assign("go", HOp("eq", (st_, HConst(1, 2)), 1))
+        m.assign("y", HOp("mux", (HRef("go", 1), HRef("busy", 8), HRef("idle", 8)), 8))
+        m.assign("wen", HOp("eq", (st_, HConst(2, 2)), 1))
+        m.assign("wdata", HOp("xor", (x, HConst(5, 8)), 8))
+        m.write_array("ram", HConst(0, 2), HRef("wdata", 8), HRef("wen", 1))
+        m.set_output("y", HRef("y", 8))
+        m.set_reg_next("st", st_)
+        m.validate()
+        return m
+
+    def test_constant_selector_follows_one_arm(self):
+        m = self.fsm()
+        idle = find(m, "idle")
+        out = bind(m, {"st": 0})
+        assert [n for n, _ in out.comb] == ["idle", "y"]
+        assert find(out, "y") == HRef("idle", 8)
+        assert find(out, "idle") is idle  # nothing under it changed
+        assert out.array_writes == []  # the enable folded to zero
+        assert [n for n, _ in bind(m, {"st": 1}).comb] == ["busy", "y"]
+
+    def test_live_write_port_keeps_its_cone(self):
+        out = bind(self.fsm(), {"st": 2})
+        assert [n for n, _ in out.comb] == ["idle", "y", "wdata"]
+        assert out.array_writes[0].enable == HConst(1, 1)
+
+    def test_unbound_selector_keeps_both_arms(self):
+        m = self.fsm()
+        out = bind(m, {})
+        assert [n for n, _ in out.comb] == [n for n, _ in m.comb]
+        assert all(a is b for (_, a), (_, b) in zip(out.comb, m.comb))
+
+    def test_narrower_arm_keeps_its_mux(self):
+        """The mux width guard: an arm narrower than its mux is not
+        spliced in, since the concatenation above reads the mux's width."""
+        m = Module("guard")
+        sel = m.add_reg("sel", 1)
+        a, b = m.add_input("a", 4), m.add_input("b", 8)
+        m.assign("y", HOp("cat", (HConst(1, 4), HOp("mux", (sel, a, b), 8)), 12))
+        m.set_output("y", HRef("y", 12))
+        m.set_reg_next("sel", sel)
+        folded = run_pipeline(bind(m, {"sel": 1})).module
+        assert Simulator(folded, optimize=False).step({"a": 3, "b": 0}) == {"y": 0x103}
+
+    def test_long_chains_do_not_recurse(self):
+        m = Module("chain")
+        prev = m.add_reg("r", 8)
+        for i in range(3 * sys.getrecursionlimit()):
+            prev = m.assign(f"c{i}", HOp("add", (prev, HConst(1, 8)), 8))
+        m.set_reg_next("r", prev)
+        out = bind(m, {"r": 7})
+        assert find(out, prev.name) == HConst((7 + 3 * sys.getrecursionlimit()) & 0xFF, 8)
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.one_of(strategies.programs(), strategies.wide_programs()), st.booleans(), st.data())
+    def test_random_bindings_step_like_the_module(self, program, secure, data):
+        lat = two_level()
+        raw = compile_program(analyze(program, lat), lat, secure=secure, name="bind").module
+        module = optimize(raw)
+        binding = {
+            reg: data.draw(st.integers(0, (1 << module.regs[reg].width) - 1), label=reg)
+            for reg in _dispatch_regs(module)
+            if data.draw(st.booleans(), label=f"bind {reg}")
+        }
+        folded = run_pipeline(bind(module, binding)).module
+        assert len(folded.comb) <= len(fold_everything(module, binding).comb)
+
+        rng = random.Random(data.draw(st.integers(0, 2**32), label="state seed"))
+        regs = {name: rng.getrandbits(r.width) for name, r in raw.regs.items()}
+        regs.update(binding)
+        arrays = {
+            name: {i: rng.getrandbits(a.width) for i in range(min(a.size, 16))}
+            for name, a in raw.arrays.items()
+        }
+        inputs = {name: rng.getrandbits(w) for name, w in raw.inputs.items()}
+        ref, got = Simulator(raw, optimize=False), Simulator(folded, optimize=False)
+        for sim in (ref, got):
+            sim.regs = dict(regs)
+            sim.arrays = {name: dict(cells) for name, cells in arrays.items()}
+        assert got.step(inputs) == ref.step(inputs)
+        assert got.regs == ref.regs
+        assert got.arrays == ref.arrays
+
+
 class TestPipeline:
     SAMPLE_SOURCES = [samples.ADDER_CHECK, samples.ADDER_TRACK, samples.TDMA]
 
@@ -351,7 +399,7 @@ class TestPipeline:
         result = run_pipeline(design.module)
         assert len(result.module.comb) < len(design.module.comb)
         assert result.signals_removed > 0
-        assert {s.name for s in result.stats} == {"rewrite", "narrow", "dce"}
+        assert {s.name for s in result.stats} == {"rewrite", "dce"}
 
     def test_optimize_is_memoized_and_idempotent(self):
         lat = two_level()
@@ -362,9 +410,11 @@ class TestPipeline:
         assert optimize(a) is a  # already-optimized modules pass through
 
     def test_levels(self):
-        assert default_passes(0) == []
-        assert len(default_passes(1)) == 2
-        assert len(default_passes(2)) == 3
+        """One pipeline; opt level 0 is the raw module, 1 the optimized."""
+        assert [p.name for p in default_passes()] == ["rewrite", "dce"]
+        raw = compile_program(samples.TDMA, two_level(), name="tdma").module
+        assert Toolchain(opt_level=0).optimize(raw) is raw
+        assert Toolchain(opt_level=1).optimize(raw) is optimize(raw)
 
     def test_validates_output(self):
         lat = two_level()

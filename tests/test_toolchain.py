@@ -69,6 +69,13 @@ class TestToolchain:
         assert "module tdma(" in text
         assert tc.verilog(design) is text
 
+    @pytest.mark.parametrize("level", [-1, 2, 3, True, 1.0, "1"])
+    def test_opt_level_is_zero_or_one(self, level):
+        """Only the two levels that build different artifacts are
+        accepted, so equal builds always share their cache keys."""
+        with pytest.raises(ValueError, match=r"opt_level must be 0 \(raw\) or 1 \(optimized\)"):
+            Toolchain(opt_level=level)
+
     def test_cache_info_and_clear(self):
         tc = Toolchain()
         design = tc.compile(samples.TDMA, two_level(), name="tdma")
