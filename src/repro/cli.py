@@ -71,7 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
                           "lane-batched simulator (default: 1, scalar)")
     sim.add_argument("--shards", type=int, default=1, metavar="S",
                      help="split the lane batch across S worker processes "
-                          "(the multiprocess fleet scheduler; workers share "
+                          "(the multiprocess fleet; workers share "
                           "compiled artifacts through one store and results "
                           "are bit-identical to --shards 1; default: 1, "
                           "in-process)")

@@ -83,6 +83,20 @@ class RunResult:
     halted: bool
 
 
+@dataclass
+class StateResult(RunResult):
+    """A :class:`RunResult` plus the lane's final architectural state.
+
+    *regs* maps every register (tags included) to its final value,
+    *arrays* maps each array to its sparse ``{index: value}`` contents.
+    Array snapshots drop default-valued entries; compare through
+    ``get(i, default)`` over the key union.
+    """
+
+    regs: dict[str, int] | None = None
+    arrays: dict[str, dict[int, int]] | None = None
+
+
 class SapperMachine:
     """The compiled secure processor, ready to load and run programs."""
 
@@ -174,6 +188,11 @@ class BatchedMachines:
     (one long program among many short ones) keeps full occupancy
     instead of paying full-width steps until the slowest lane finishes.
     Results are indexed by the *original* lane order either way.
+
+    *toolchain* overrides the process-wide default, as in
+    :func:`compile_processor`.  With *capture_state*, :meth:`run`
+    returns :class:`StateResult` with each lane's registers and arrays
+    as they were when the lane halted or exhausted its budget.
     """
 
     #: lane count at which the batched engine overtakes scalar machines
@@ -187,14 +206,17 @@ class BatchedMachines:
         secure: bool = True,
         compact: bool = True,
         engine: str | None = None,
+        toolchain=None,
+        capture_state: bool = False,
     ):
+        tc = toolchain or get_toolchain()
         self.lattice = lattice or two_level()
-        self.design = compile_processor(self.lattice, secure)
-        self.sim = get_toolchain().batch_simulator(
-            self.design, len(executables), engine=engine or "auto"
-        )
+        self.design = compile_processor(self.lattice, secure, toolchain=tc)
+        self.sim = tc.batch_simulator(self.design, len(executables), engine=engine or "auto")
         self.lanes = len(executables)
         self.compact = compact
+        self.capture_state = capture_state
+        self.state: list[tuple[dict, dict] | None] = [None] * self.lanes
         for lane, exe in enumerate(executables):
             self.sim.load_array(lane, "memory", exe.as_memory())
         self.outputs: list[list[int]] = [[] for _ in range(self.lanes)]
@@ -212,6 +234,8 @@ class BatchedMachines:
         halted_reg = "halted_r"
         budgets = check_budgets(max_cycles, self.lanes)
         spent = [0] * self.lanes
+        if self.capture_state:
+            self._snapshot(pos for pos, lane in enumerate(sim.active_lanes) if not budgets[lane])
         for cycle in range(1, max(budgets, default=0) + 1):
             outs = sim.step()
             live = False
@@ -232,11 +256,13 @@ class BatchedMachines:
                     retire.append(pos)
                 else:
                     live = True
+            if self.capture_state:
+                self._snapshot(retire)
             if not live:
                 break
             if self.compact and retire:
                 sim.compact(retire)
-        return [
+        results = [
             RunResult(
                 outputs=list(self.outputs[lane]),
                 cycles=self.halted_at[lane] or spent[lane],
@@ -245,6 +271,21 @@ class BatchedMachines:
             )
             for lane in range(self.lanes)
         ]
+        if self.capture_state:
+            results = [
+                StateResult(**vars(res), regs=regs, arrays=arrays)
+                for res, (regs, arrays) in zip(results, self.state)
+            ]
+        return results
+
+    def _snapshot(self, positions) -> None:
+        """Record the registers and arrays of the lanes at *positions*."""
+        sim = self.sim
+        for pos in positions:
+            self.state[sim.active_lanes[pos]] = (
+                sim.lane_regs(pos),
+                {name: dict(lanes[pos]) for name, lanes in sim.arrays.items()},
+            )
 
 
 def run_workloads(
@@ -272,11 +313,12 @@ def run_workloads(
     count).
 
     ``shards=N`` (N >= 2) runs the suite on the multiprocess fleet
-    scheduler instead: N worker processes, each batching a shard of the
-    suite over the shared artifact store *store* (see
-    :class:`repro.fleet.FleetRunner`).  Results are bit-identical and
-    in the same order; workers are spawned and torn down per call, so
-    repeated suites are cheaper through a persistent ``FleetRunner``.
+    instead: a pool of N worker processes, each running lane-width
+    chunks of the suite through :class:`BatchedMachines` over the
+    shared artifact store *store* (see :class:`repro.fleet.FleetRunner`).
+    Results are bit-identical and in the same order; the pool is started
+    and torn down per call, so repeated suites are cheaper through a
+    persistent ``FleetRunner``.
     """
     budgets = check_budgets(max_cycles, len(executables))
     if shards is not None and shards > 1:

@@ -191,13 +191,13 @@ class ReproServer:
         return await self._in_pool(check)
 
     async def _op_fleet(self, req: dict) -> dict:
-        """Run a workload suite on the multiprocess fleet scheduler.
+        """Run a workload suite on the multiprocess fleet.
 
         ``workloads`` entries are either names from the built-in
         sec-4.3 suite (``repro.workloads``) or ``{"asm": ...,
         "max_cycles": ...}`` objects; results come back one per entry,
-        in request order, plus the merged fleet counters (per-shard
-        lane-cycles, occupancy, store hits, requeues).
+        in request order, plus the merged fleet counters (lane-cycles,
+        occupancy, store hits, requeues).
         """
         shards = self._bounded(req, "shards", 2, 1, MAX_SHARDS)
         default_budget = self._bounded(req, "max_cycles", 10_000, 1, MAX_CYCLES)

@@ -4,16 +4,17 @@ Three contracts are pinned here:
 
 * **Differential equivalence** (Hypothesis) -- random program suites x
   random per-lane cycle budgets (the budgets force retirements at
-  different cycles, so lanes are reset and refilled mid-wave) produce
+  different cycles, so lanes are compacted away mid-chunk) produce
   results bit-identical to single-process execution: outputs, cycle
   counts, violation counts, halt flags, *and* the final architectural
   state (every register including shadow tags, every array) of each
   lane.  Including the 1-workload and fewer-workloads-than-shards edge
   cases.
-* **Fault injection** -- a worker SIGKILLed mid-suite (deterministic
-  via the ``_self_destruct`` hook) triggers crash detection and bounded
-  requeue, and the suite still completes with correct results; with
-  requeues exhausted the lost tasks finish in-process; a corrupted
+* **Fault injection** -- workers SIGKILLed mid-suite (deterministic
+  via the ``_doomed_pools`` hook) break their pool, the unfinished
+  chunks go to a fresh pool, and the suite still completes with
+  correct results; with resubmits exhausted the lost chunks finish
+  in-process; the parent keeps nothing of its build; a corrupted
   artifact store under the fleet is quarantined and recomputed, never
   served; an unusable start method degrades to in-process execution.
   Every fault test runs under a hard alarm so a scheduling hang fails
@@ -23,12 +24,14 @@ Three contracts are pinned here:
   mispaired lane indices, on every path (scalar, batched, fleet).
 
 The fleets are module-scoped and persist across Hypothesis examples:
-each worker pays its store warm-start and batched codegen once.
+each pool worker pays its store warm-start and batched codegen once.
 """
 
 import contextlib
+import gc
 import os
 import signal
+import weakref
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -102,8 +105,9 @@ def fleet_store(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def fleet2(fleet_store):
-    """Persistent 2-shard fleet with deliberately narrow lanes (wave
-    width 3) so suites larger than 6 exercise lane refill mid-wave."""
+    """Persistent 2-shard fleet with deliberately narrow lanes (chunk
+    width 3) so suites larger than 6 split into several chunks per
+    worker."""
     with FleetRunner(
         shards=2, lanes_per_worker=3, store=fleet_store, capture_state=True
     ) as fleet:
@@ -177,10 +181,10 @@ def suites(draw, max_programs=8):
     """(specs, budgets): random programs x a retirement schedule.
 
     The three budget bands pin the three lane lifecycles: 0 never
-    occupies a lane, the middle band always exhausts before the halt
+    runs a cycle, the middle band always exhausts before the halt
     store fires (the processor spends ~290 boot cycles before user
     code), and the top band comfortably halts -- mixing them inside one
-    suite forces staggered retirement and lane refill.
+    suite forces staggered retirement and lane compaction.
     """
     specs = draw(
         st.lists(
@@ -283,9 +287,9 @@ class TestSchedulingStats:
 
 class TestFaultInjection:
     def test_sigkill_mid_suite_requeues_and_completes(self, fleet_store, module):
-        """Worker 0 SIGKILLs itself after its first result while still
-        holding assigned tasks; the parent detects the death, requeues
-        the orphans, and the suite completes bit-identically."""
+        """The first pool's workers SIGKILL themselves on their first
+        chunk; the parent sees the pool break, resubmits the unfinished
+        chunks to a fresh pool, and the suite completes bit-identically."""
         specs = [(i, 3 + i % 5) for i in range(12)]
         budgets = [250] * len(specs)
         with deadline(120):
@@ -295,16 +299,17 @@ class TestFaultInjection:
                 store=fleet_store,
                 capture_state=True,
                 requeue_limit=3,
-                _self_destruct={0: 1},
+                _doomed_pools=1,
             ) as fleet:
                 results = fleet.run(executables(specs), max_cycles=budgets)
-                assert fleet.stats.deaths == 1
+                assert fleet.stats.deaths == 1  # one pool break
                 assert fleet.stats.requeues >= 1
+                assert fleet.stats.fallback_tasks == 0
         assert_matches_reference(results, specs, budgets, module)
 
     def test_requeues_exhausted_falls_back_in_process(self, fleet_store, module):
-        """With the only worker suiciding and zero requeue budget, the
-        orphaned tasks finish in-process -- the suite never fails."""
+        """With the only worker dying and zero resubmits allowed, the
+        lost chunks finish in-process -- the suite never fails."""
         specs = [(i, 2) for i in range(6)]
         budgets = [200] * len(specs)
         with deadline(120):
@@ -314,7 +319,7 @@ class TestFaultInjection:
                 store=fleet_store,
                 capture_state=True,
                 requeue_limit=0,
-                _self_destruct={0: 1},
+                _doomed_pools=1,
             ) as fleet:
                 results = fleet.run(executables(specs), max_cycles=budgets)
                 assert fleet.stats.deaths == 1
@@ -322,8 +327,9 @@ class TestFaultInjection:
         assert_matches_reference(results, specs, budgets, module)
 
     def test_all_workers_dead_suite_still_completes(self, fleet_store, module):
-        """Every worker dies immediately after one result: everything
-        left finishes in-process, in order, correct."""
+        """Every worker of every pool dies (the first pool and the one
+        resubmit pool): everything finishes in-process, in order,
+        correct."""
         specs = [(i, 1) for i in range(8)]
         budgets = [200] * len(specs)
         with deadline(120):
@@ -333,10 +339,11 @@ class TestFaultInjection:
                 store=fleet_store,
                 capture_state=True,
                 requeue_limit=1,
-                _self_destruct={0: 1, 1: 1},
+                _doomed_pools=2,
             ) as fleet:
                 results = fleet.run(executables(specs), max_cycles=budgets)
-                assert fleet.stats.deaths == 2
+                assert fleet.stats.deaths == 2  # both pools broke
+                assert fleet.stats.fallback_tasks == len(specs)
         assert_matches_reference(results, specs, budgets, module)
 
     def test_corrupt_store_under_fleet_recomputes(self, tmp_path, module):
@@ -378,6 +385,29 @@ class TestFaultInjection:
             assert fleet.stats.fallback_tasks == len(specs)
             assert fleet.errors
         assert_matches_reference(results, specs, budgets, module)
+
+    def test_parent_drops_its_build_after_start(self, fleet_store, monkeypatch):
+        """The parent publishes the design and keeps nothing of it:
+        holding the publishing toolchain would pin the whole build in
+        the parent's memory for the fleet's lifetime."""
+        import repro.fleet as fleet_mod
+
+        built = []
+
+        class Tracked(fleet_mod.Toolchain):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(weakref.ref(self))
+
+        monkeypatch.setattr(fleet_mod, "Toolchain", Tracked)
+        fleet = FleetRunner(shards=1, store=fleet_store)
+        try:
+            fleet.start()
+            gc.collect()
+            assert len(built) == 1
+            assert built[0]() is None, "the parent still holds its build"
+        finally:
+            fleet.close()
 
     def test_closed_runner_refuses_restart(self, fleet_store):
         fleet = FleetRunner(shards=1, store=fleet_store)
