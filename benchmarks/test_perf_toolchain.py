@@ -327,12 +327,17 @@ SCALING_CYCLES = 300
 @pytest.mark.skipif(not HAVE_NUMPY, reason="the vector engine needs NumPy")
 def test_engine_lane_scaling(benchmark):
     """Aggregate lane-cycles/second per engine across the lane-count
-    ladder 32/128/512 -- the curve that justifies the CLI's auto
-    threshold (SWAR wins small batches, the vector tier overtakes it
-    between 32 and 128 lanes).  Pure telemetry: the per-point throughput
-    numbers land in ``extra_info`` (machine-dependent, so not gated),
-    and the crossover as the ratios ``swar_over_vector_32`` and
-    ``vector_over_swar_512``, gated by ``check_regression.py``."""
+    ladder 32/128/512 over the first 300 cycles from reset.  That window
+    is the processor's Boot/Refill start, where the lanes still agree
+    and most steps run folded bodies, so it does not measure the
+    generic diverged-lane step behind ``VECTOR_AUTO_LANES`` (see
+    ARCHITECTURE.md, "Occupancy management"): its 32-lane ratio moves
+    with the host and the fold mix (committed baseline 0.897; 1.25-1.66
+    on a 2-CPU Xeon host), while the vector tier stays far ahead at 512
+    lanes.  Pure telemetry: the per-point throughput numbers land in
+    ``extra_info`` (machine-dependent, so not gated), and the two ends
+    as the ratios ``swar_over_vector_32`` and ``vector_over_swar_512``,
+    gated by ``check_regression.py``."""
     module, programs = _batch_setup()
     engines = {
         "swar": lambda lanes: _fresh_batch(module, programs, lanes=lanes),
@@ -347,7 +352,7 @@ def test_engine_lane_scaling(benchmark):
             )
             lcps[name][lanes] = lanes * SCALING_CYCLES / best
             benchmark.extra_info[f"{name}_lcps_{lanes}"] = round(lcps[name][lanes])
-    # the measured crossover: SWAR ahead at 32 lanes, vector ahead at 512
+    # the two ends of the ladder, over the boot window
     benchmark.extra_info["swar_over_vector_32"] = round(
         lcps["swar"][32] / lcps["vector"][32], 3
     )

@@ -399,7 +399,7 @@ def simulate(tc: Toolchain, req: SimulateRequest, on_step=None) -> SimulateResul
         fleet = fleet_stats.merged()
     else:
         design = compile_design(tc, req)
-        sim = tc.batch_simulator(design, req.lanes, engine=engine)
+        sim = tc.batch_simulator(design, req.lanes, engine=req.engine)
         run = run_lanes(sim, req.cycles, req.inputs, req.lane_stimulus(), req.compact, on_step)
     return SimulateResult(
         _key(tc, design), run.steps, req.lanes, run.violations, run.final,

@@ -1708,11 +1708,12 @@ class BatchSimulator:
         self.split_steps = 0
         self.compactions = 0
         self.lane_cycles = 0
-        self._entry = self._make_entry(module)
-        self._step = self._entry.step(lanes)
-        self.source = self._entry.source
-        self.pitch = self._entry.pitch
-        self._refresh_layout()
+        #: ``engine="auto"`` vector batches only (set by
+        #: :meth:`~repro.toolchain.Toolchain.batch_simulator`): live lane
+        #: count -> the SWAR entry to continue on after :meth:`compact`,
+        #: or None to stay
+        self._handover: Callable[[int], _BatchEntry | None] | None = None
+        self._use_entry(self._make_entry(module))
         self.pregs: dict[str, int] = {}
         self.sregs: dict = {}
         self.wregs: dict[str, list[int]] = {}
@@ -1730,15 +1731,6 @@ class BatchSimulator:
         self.taint = None
         self._ones = (1 << lanes) - 1
         self._empty_inputs = [{}] * lanes
-        self._dispatch = []
-        for name in self._entry.dispatch:
-            if module.regs[name].width == 1:
-                self._dispatch.append((name, "p", 1))
-            elif name in self._entry.resident:
-                mask = (1 << module.regs[name].width) - 1
-                self._dispatch.append((name, "w", mask))
-            else:
-                self._dispatch.append((name, "s", 0))
 
     # -- engine hooks -------------------------------------------------------
     #
@@ -1751,6 +1743,24 @@ class BatchSimulator:
 
     def _make_entry(self, module: Module) -> _BatchEntry:
         return _batch_entry(module)
+
+    def _use_entry(self, entry: _BatchEntry) -> None:
+        """Step with *entry*'s compiled code: its slot pitch, state
+        layout and dispatch-register modes."""
+        self._entry = entry
+        self._step = entry.step(self.lanes)
+        self.source = entry.source
+        self.pitch = entry.pitch
+        self._refresh_layout()
+        self._dispatch = []
+        for name in entry.dispatch:
+            width = self.module.regs[name].width
+            if width == 1:
+                self._dispatch.append((name, "p", 1))
+            elif name in entry.resident:
+                self._dispatch.append((name, "w", (1 << width) - 1))
+            else:
+                self._dispatch.append((name, "s", 0))
 
     def _refresh_layout(self) -> None:
         self._layout = (
@@ -1887,6 +1897,10 @@ class BatchSimulator:
         array stores are all repacked in lane order; the step function
         re-enters the per-lane-count cache at the new width (compiled
         once per width, shared by every simulator over this module).
+        A batch with a ``_handover`` (an ``engine="auto"`` vector
+        batch) then asks it for the engine the new width should run on,
+        and on a SWAR entry continues there in place -- the first such
+        handover of a module in a process builds that entry.
         Returns the construction-time ids of the retired lanes, and
         updates :attr:`active_lanes` for the survivors.
         """
@@ -1930,6 +1944,10 @@ class BatchSimulator:
         self._refresh_layout()
         self._step = self._entry.step(k)
         self.compactions += 1
+        if self._handover is not None:
+            entry = self._handover(k)
+            if entry is not None:
+                self._retarget(entry)
         return gone
 
     # -- running -----------------------------------------------------------

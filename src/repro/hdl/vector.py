@@ -1120,7 +1120,10 @@ class VectorSimulator(BatchSimulator):
     register held as a ``(lanes,)`` uint64 ndarray and the wide
     combinational tier lowered to ufunc expressions.  The packed 1-bit
     tag world and the per-lane scalar fallback are shared with the
-    base engine.
+    base engine.  One built by ``Toolchain.batch_simulator(...,
+    engine="auto")`` becomes a SWAR :class:`BatchSimulator` in place
+    once compaction leaves it fewer lanes than ``VECTOR_AUTO_LANES``
+    (:meth:`_retarget`).
 
     Stored ndarrays are treated as immutable values; all mutation
     sites (:meth:`set_reg`, :meth:`load_array`) copy before writing.
@@ -1185,6 +1188,29 @@ class VectorSimulator(BatchSimulator):
         if (arr == v0).all():
             return int(v0)
         return None
+
+    def _retarget(self, entry: _BatchEntry) -> None:
+        """Hand the batch to the SWAR engine in place (see
+        :meth:`~repro.hdl.batch.BatchSimulator.compact`): the same
+        object, counters, lanes and taint tracker, stepping *entry*'s
+        code from now on.  Multi-bit registers are re-laid into the
+        entry's ``sregs``/``wregs`` split and the ``a:`` dense mirrors
+        dropped (the per-lane dicts are canonical); 1-bit registers and
+        arrays already share one layout."""
+        wide = {
+            name: self.sregs[name].tolist() if name in self.sregs else self.wregs[name]
+            for name, reg in self.module.regs.items()
+            if reg.width > 1
+        }
+        self.__class__ = BatchSimulator
+        self._handover = None
+        self._use_entry(entry)
+        self.sregs, self.wregs = {}, {}
+        for name, values in wide.items():
+            if name in entry.resident:
+                self.sregs[name] = self._layout.pack(values, self.module.regs[name].width)
+            else:
+                self.wregs[name] = values
 
     # -- state access -------------------------------------------------------
 

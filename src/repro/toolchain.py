@@ -27,6 +27,7 @@ agree exactly on what hardware they describe.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 import sys
@@ -66,8 +67,12 @@ Source = str | ast.Program | ProgramInfo
 Design = CompiledDesign | Module
 
 #: Lane count from which automatic engine selection prefers the NumPy
-#: vector tier: measured on the secure processor, the ufunc-amortized
-#: engine overtakes SWAR lane packing between 32 and 128 lanes.
+#: vector tier.  A generic secure-processor step with diverged lanes
+#: costs the same on both engines here (1.82 ms vector, 1.84 ms SWAR on
+#: a 2-CPU Xeon host); SWAR wins below (1.18 vs 1.83 ms at 32 lanes),
+#: vector above (1.78 vs 3.52 ms at 128).  ``engine="auto"`` applies it
+#: to the live lane count, so an auto vector batch that compaction
+#: takes below it continues on SWAR.
 VECTOR_AUTO_LANES = 64
 
 #: The batched simulation engines, by name (``"auto"`` picks one of
@@ -87,8 +92,10 @@ def check_engine(engine: str | None) -> None:
 def auto_engine(lanes: int) -> str:
     """The batched engine automatic selection picks for *lanes* lanes:
     ``"vector"`` from :data:`VECTOR_AUTO_LANES` up when NumPy is
-    importable, ``"swar"`` otherwise.  Every engine is bit-identical
-    per lane, so this is purely a throughput choice."""
+    importable, ``"swar"`` otherwise.  An ``engine="auto"`` batch asks
+    again after every compaction, with its live lane count.  Every
+    engine is bit-identical per lane, so this is purely a throughput
+    choice."""
     if lanes >= VECTOR_AUTO_LANES:
         from repro.hdl.vector import HAVE_NUMPY
 
@@ -477,7 +484,11 @@ class Toolchain:
         ``"vector"`` (NumPy uint64 lane arrays; needs NumPy); ``"auto"``
         defers to :func:`auto_engine` (vector from
         :data:`VECTOR_AUTO_LANES` lanes when NumPy is importable, swar
-        below).  Any other name raises ValueError.  *retire_when*
+        below) for the whole run: an auto vector batch that compaction
+        leaves with fewer lanes continues on swar, as the same object
+        (see :meth:`BatchSimulator.compact`; the swar entry is built
+        on the first such handover, through the store when there is
+        one).  Any other name raises ValueError.  *retire_when*
         installs a lane-retirement predicate (``(sim, lane) -> bool``)
         driving automatic lane compaction in :meth:`BatchSimulator.run`.
         The batched step function, its per-lane-count factories, and
@@ -490,7 +501,8 @@ class Toolchain:
         ``fold`` stages, see :meth:`_prime_codegen`).
         """
         check_engine(engine)
-        if engine == "auto":
+        auto = engine == "auto"
+        if auto:
             engine = auto_engine(lanes)
         elif engine is None:
             engine = "swar"
@@ -499,8 +511,23 @@ class Toolchain:
         if engine == "vector":
             from repro.hdl.vector import VectorSimulator
 
-            return VectorSimulator(module, lanes, optimize=False, retire_when=retire_when)
+            sim = VectorSimulator(module, lanes, optimize=False, retire_when=retire_when)
+            if auto:
+                sim._handover = functools.partial(self._handover_entry, design, module)
+            return sim
         return BatchSimulator(module, lanes, optimize=False, retire_when=retire_when)
+
+    def _handover_entry(
+        self, design: Design, module: Module, lanes: int
+    ) -> _batch._BatchEntry | None:
+        """The SWAR entry an ``engine="auto"`` vector batch continues on
+        once compaction leaves it *lanes* lanes, or None while
+        :func:`auto_engine` still picks vector.  Built on first use,
+        through the store when there is one."""
+        if auto_engine(lanes) != "swar":
+            return None
+        self._prime_codegen(design, module, "swar")
+        return _batch._batch_entry(module)
 
     def _prime_codegen(self, design: Design, module: Module, engine: str) -> None:
         """Build *module*'s batched entry for *engine* through the store

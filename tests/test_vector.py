@@ -8,7 +8,9 @@ values of N scalar :class:`~repro.hdl.sim.Simulator` runs -- for random
 programs across the 33-bit and 64-bit dtype boundaries, lane counts up
 to 256, mid-run lane compaction, and diverged lane populations.  Engine
 selection (toolchain ``engine=``, CLI ``--engine``/auto, the
-NumPy-missing gate) is covered at the bottom.
+NumPy-missing gate) and the auto engine's in-place handover to SWAR
+once compaction leaves fewer than ``VECTOR_AUTO_LANES`` lanes are
+covered at the bottom.
 
 Skips with a reason when NumPy is not importable -- the vector tier is
 an optional dependency; nothing here may silently pass without it.
@@ -23,6 +25,8 @@ np = pytest.importorskip("numpy", reason="the vector engine needs NumPy")
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro import commands
+from repro.analyze import default_taint_sources
 from repro.hdl import (
     BatchSimulator,
     HConst,
@@ -32,17 +36,19 @@ from repro.hdl import (
     Simulator,
     VectorSimulator,
 )
-from repro.hdl import vector as vector_mod
+from repro.hdl import batch as batch_mod, vector as vector_mod
 from repro.hdl.vector import VECTOR_MAX_WIDTH, _NUMPY_HINT
 from repro.lattice import two_level
 from repro.sapper import samples
 from repro.sapper.analysis import analyze
 from repro.sapper.compiler import compile_program
 from repro.sapper.crossval import assert_equivalent_suite, encode_inputs
+from repro.store import ArtifactStore
 from repro.toolchain import VECTOR_AUTO_LANES, Toolchain
 
 from tests import strategies
 from tests.test_batch_sim import FSM_SRC, assert_lanes_match_scalars, assert_one_path_per_step
+from tests.test_store import _codegen_calls
 
 
 def assert_dense_mirrors_match(batch):
@@ -677,6 +683,179 @@ class TestToolchainEngines:
         assert isinstance(bcv.batch, VectorSimulator)
 
 
+STAGGERED = """
+mem[7:0] buf[16]; reg[7:0] cnt; reg[15:0] sum; reg[39:0] wide;
+input[7:0] k; input[7:0] h : H; output halted : L; output[15:0] v;
+state top : L = {
+    let state warm = { cnt := cnt + 1; if (cnt > 2) { goto run; } else { goto warm; } } in
+    let state run = {
+        cnt := cnt + k;
+        buf[cnt[3:0]] := cnt;
+        sum := sum + buf[k[3:0]];
+        wide := wide + h;
+        v := sum;
+        if (cnt > 200) { goto done; } else { goto run; }
+    } in
+    let state done = { halted := 1; goto done; } in
+    fall;
+}
+"""
+HANDOVER_LANES = VECTOR_AUTO_LANES + 8
+
+
+def _staggered_stimulus(lanes=HANDOVER_LANES):
+    """Per-lane drives that halt the lanes of :data:`STAGGERED` at
+    staggered cycles (8..200), so compaction walks the live lane count
+    down across :data:`VECTOR_AUTO_LANES`."""
+    return [{"k": 1 + lane % 25, "h": lane} for lane in range(lanes)]
+
+
+def _run_staggered(sim, design, stim):
+    """Step *sim* until every lane halts, retiring halted lanes; returns
+    each original lane's (cycle, outputs, registers, arrays, taint) at
+    halting and the engine class after every compaction."""
+    tracker = sim.attach_taint(
+        sources=default_taint_sources(design),
+        lane_masks={"h": sum(1 << lane for lane in range(0, len(stim), 3))},
+    )
+    final, classes = {}, []
+    while True:
+        outs = sim.step(stim)
+        retire = [pos for pos, out in enumerate(outs) if out["halted"]]
+        for pos in retire:
+            final[sim.active_lanes[pos]] = (
+                sim.cycles,
+                outs[pos],
+                sim.lane_regs(pos),
+                {name: dict(store[pos]) for name, store in sim.arrays.items()},
+                tracker.ever_tainted(pos),
+            )
+        if len(retire) == sim.lanes:
+            return final, classes
+        if retire:
+            sim.compact(retire)
+            gone = set(retire)
+            stim = [d for pos, d in enumerate(stim) if pos not in gone]
+            classes.append((sim.lanes, type(sim)))
+        assert sim.taint is tracker
+
+
+class TestAutoHandover:
+    """``engine="auto"`` follows the live lane count: an auto-built
+    vector batch whose compaction leaves fewer than
+    :data:`VECTOR_AUTO_LANES` lanes continues on the SWAR engine, as the
+    same object, bit-identical to every pinned engine."""
+
+    def test_handover_matches_pinned_engines_and_scalars(self):
+        tc = Toolchain()
+        design = tc.compile(STAGGERED, two_level(), name="staggered")
+        stim = _staggered_stimulus()
+        runs = {}
+        for engine in ("auto", "swar", "vector"):
+            sim = tc.batch_simulator(design, HANDOVER_LANES, engine=engine)
+            stepped = []
+            real_step = sim.step
+            sim.step = lambda inputs, real_step=real_step: stepped.append(1) or real_step(inputs)
+            final, classes = _run_staggered(sim, design, list(stim))
+            assert len(stepped) == sim.cycles  # the wrapped object stepped throughout
+            assert_one_path_per_step(sim)
+            assert sim.compactions == len(classes) and len(final) == HANDOVER_LANES
+            runs[engine] = (final, classes, sim)
+
+        _, classes, auto = runs["auto"]
+        assert any(lanes >= VECTOR_AUTO_LANES for lanes, _ in classes)
+        for lanes, cls in classes:
+            want = VectorSimulator if lanes >= VECTOR_AUTO_LANES else BatchSimulator
+            assert cls is want, (lanes, cls)
+        assert type(auto) is BatchSimulator and auto._handover is None
+        assert "a:buf" not in auto.sregs and auto.uniform_steps and auto.generic_steps
+        assert all(cls is VectorSimulator for _, cls in runs["vector"][1])
+        assert all(cls is BatchSimulator for _, cls in runs["swar"][1])
+        assert runs["auto"][0] == runs["swar"][0] == runs["vector"][0]
+
+        module = auto.module
+        for lane, (cycles, out, regs, arrays, _) in runs["auto"][0].items():
+            scalar = Simulator(module, optimize=False)
+            for _ in range(cycles):
+                want = scalar.step(stim[lane])
+            assert (out, regs) == (want, dict(scalar.regs)), lane
+            assert arrays == {name: dict(a) for name, a in scalar.arrays.items()}, lane
+
+    def test_processor_suite_matches_pinned_vector(self):
+        """The six Sec. 4.3 programs on 66 processor lanes whose cycle
+        budgets run out one by one once their control has diverged: the
+        auto batch hands over at 63 lanes, and every lane's captured
+        registers and arrays equal a pinned vector run's."""
+        from repro.mips.assembler import assemble
+        from repro.proc.machine import BatchedMachines
+        from repro.workloads import ALL_WORKLOADS
+
+        names = sorted(ALL_WORKLOADS)
+        exes = [assemble(ALL_WORKLOADS[names[lane % 6]].source) for lane in range(66)]
+        budgets = [400 + 2 * lane for lane in range(66)]
+        runs = {}
+        for engine in ("auto", "vector"):
+            bm = BatchedMachines(exes, engine=engine, capture_state=True)
+            runs[engine] = (bm.run(budgets), bm.sim)
+        (auto, auto_sim), (vector, vector_sim) = runs["auto"], runs["vector"]
+        assert type(auto_sim) is BatchSimulator and isinstance(vector_sim, VectorSimulator)
+        assert auto == vector
+        for name in ("cycles", "uniform_steps", "generic_steps", "compactions"):
+            assert getattr(auto_sim, name) == getattr(vector_sim, name), name
+
+    def test_simulate_command_hands_over(self):
+        """``repro simulate --lanes N`` (auto) gets the handover and
+        answers exactly as the pinned engines do."""
+        ks = [s["k"] for s in _staggered_stimulus()]
+        results = {}
+        for engine in ("auto", "swar", "vector"):
+            req = commands.SimulateRequest(
+                STAGGERED,
+                name="staggered",
+                cycles=400,
+                lanes=HANDOVER_LANES,
+                inputs={"k": ks},
+                engine=engine,
+            )
+            results[engine] = commands.simulate(Toolchain(), req)
+        assert results["auto"] == results["swar"] == results["vector"]
+        assert results["auto"].active_lanes < VECTOR_AUTO_LANES
+
+    def _store_run(self, root, lanes, retire):
+        """A store-backed toolchain's auto batch of *lanes* lanes,
+        compacted once by *retire* lanes; returns sim and counters."""
+        tc = Toolchain(store=ArtifactStore(root))
+        design = tc.compile(STAGGERED, two_level(), name="staggered")
+        sim = tc.batch_simulator(design, lanes, engine="auto")
+        stim = _staggered_stimulus(lanes)
+        for _ in range(120):
+            sim.step(stim)
+        sim.compact(list(range(retire)))
+        for _ in range(120):
+            sim.step(stim[retire:])
+        return sim, tc.counter_snapshot()
+
+    def test_no_swar_entry_while_auto_stays_vector(self, tmp_path):
+        retire = HANDOVER_LANES - VECTOR_AUTO_LANES
+        sim, counters = self._store_run(tmp_path, HANDOVER_LANES, retire)
+        assert isinstance(sim, VectorSimulator) and sim.lanes == VECTOR_AUTO_LANES
+        assert counters.get("store_miss:codegen") == 1, counters  # the vector entry only
+        assert "swar" not in batch_mod._BATCH_CACHE.get(sim.module)
+
+    def test_warm_handover_reads_the_swar_entry_from_the_store(self, tmp_path):
+        cold, counters = self._store_run(tmp_path, HANDOVER_LANES, 16)
+        assert type(cold) is BatchSimulator
+        assert counters.get("store_miss:codegen") == 2, counters  # vector, then swar
+        with _codegen_calls() as calls:
+            warm, counters = self._store_run(tmp_path, HANDOVER_LANES, 16)
+        assert type(warm) is BatchSimulator
+        assert calls == {"emit": 0, "compile": 0, "fold": 0}
+        assert counters.get("store_hit:codegen") == 2, counters
+        assert "store_miss:codegen" not in counters and "store_miss:fold" not in counters
+        for lane in range(warm.lanes):
+            assert warm.lane_regs(lane) == cold.lane_regs(lane)
+
+
 class TestCliEngineSelection:
     @pytest.fixture
     def tdma_file(self, tmp_path):
@@ -686,12 +865,14 @@ class TestCliEngineSelection:
 
     @pytest.fixture
     def recorded(self, monkeypatch):
+        """The engine each built batch starts on."""
         calls = []
         original = Toolchain.batch_simulator
 
         def recorder(self, design, lanes, *args, **kwargs):
-            calls.append(kwargs.get("engine"))
-            return original(self, design, lanes, *args, **kwargs)
+            sim = original(self, design, lanes, *args, **kwargs)
+            calls.append("vector" if isinstance(sim, VectorSimulator) else "swar")
+            return sim
 
         monkeypatch.setattr(Toolchain, "batch_simulator", recorder)
         return calls
