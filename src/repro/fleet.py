@@ -134,7 +134,7 @@ class _ProcJob:
     A payload is ``(executable, budget)``; its result a :class:`RunResult`.
     """
 
-    def __init__(self, lattice: Lattice, secure: bool, capture_state: bool, engine: str | None):
+    def __init__(self, lattice: Lattice, secure: bool, capture_state: bool, engine: str):
         self.lattice = lattice
         self.secure = secure
         self.capture_state = capture_state
@@ -227,7 +227,7 @@ class FleetRunner:
     accepts an :class:`ArtifactStore`, a directory path, or ``None``
     (a private temporary store).  *lanes_per_worker* bounds each
     chunk's lane width; *engine* pins one of
-    :data:`~repro.toolchain.BATCH_ENGINES` (default or ``"auto"``:
+    :data:`~repro.toolchain.BATCH_ENGINES` (default ``"auto"``:
     automatic per chunk width).  ``capture_state=True`` returns
     :class:`FleetWorkloadResult` with final registers and arrays.
 
@@ -243,7 +243,7 @@ class FleetRunner:
         secure: bool = True,
         lanes_per_worker: int = 128,
         store: ArtifactStore | str | None = None,
-        engine: str | None = None,
+        engine: str = "auto",
         start_method: str | None = None,
         requeue_limit: int = 2,
         capture_state: bool = False,

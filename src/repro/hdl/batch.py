@@ -1772,7 +1772,7 @@ class BatchSimulator:
         return self._layout.replicate(reg.init, reg.width)
 
     def _sreg_get(self, name: str, lane: int, width: int) -> int:
-        return (self.sregs[name] >> (lane * self.pitch)) & ((1 << width) - 1)
+        return self._layout.get(self.sregs[name], lane, width)
 
     def _sreg_set(self, name: str, lane: int, width: int, value: int) -> None:
         self.sregs[name] = self._layout.set(self.sregs[name], lane, width, value)

@@ -1,41 +1,46 @@
-"""SWAR (SIMD-within-a-register) primitives for lane-packed values.
+"""SWAR (SIMD-within-a-register) slot layout for lane-packed values.
 
-The lane-batched simulator (:mod:`repro.hdl.batch`) holds every 1-bit
-signal as one integer with bit ``l`` = lane ``l``.  This module extends
-the same idea to *multi-bit* signals: ``n`` lanes of a ``w``-bit value
-(``2 <= w <= 33``) are packed into one big integer of ``n`` fixed-size
-slots.  Each slot is ``pitch`` bits wide with ``pitch > w``, so every
-slot carries at least one zero *guard bit* above the value; arithmetic
-carries and borrows are absorbed by the guard band and can never leak
-into the neighbouring lane.
+The batched simulator (:mod:`repro.hdl.batch`) keeps ``n`` lanes of a
+``w``-bit signal (``2 <= w <= 33``) in one big integer of ``n``
+fixed-size slots: lane ``l`` holds bits ``[l * pitch, l * pitch + w)``.
+The code generator picks one ``pitch`` per design, one more than the
+widest packed signal, so every slot has at least one zero *guard bit*
+above its value.  This module owns that geometry: the per-width masks,
+state packing, and the conversion between slot-spaced and
+lane-contiguous 1-bit flags.  It holds no arithmetic.
 
-Canonical form
---------------
+Guard-band invariant
+--------------------
 
-A packed word for width ``w`` is *canonical* when every bit outside the
-per-slot value region ``[l * pitch, l * pitch + w)`` is zero.  All
-primitives here consume and produce canonical words; the correctness
-argument for each is a two-line bound on the per-slot intermediate:
+A packed word is *canonical* when every bit outside the per-slot value
+regions is zero.  The SWAR formulas exist once, emitted inline into
+the generated step by ``_BatchCodeGen.wval``, ``dform`` and
+``_cmp_guards`` with this layout's masks bound as factory locals.
+Each consumes and produces canonical words, and each relies on a bound
+that keeps one slot's intermediate inside its own slot:
 
-* ``add``: slot sum ``< 2**(w+1) <= 2**pitch`` -- the carry stays in the
-  guard band and is masked off;
-* ``sub``/``neg``: the minuend is first OR-ed with ``2**w`` per slot, so
-  the slot difference stays in ``[1, 2**(w+1))`` and no borrow crosses a
-  slot boundary;
-* compares: the classic guard-bit borrow trick -- ``(x | G) - y`` has
-  the per-slot guard bit set iff ``x >= y``.
+* ``add``: a slot sum is ``< 2**(w+1) <= 2**pitch``, so the carry lands
+  in the guard band and :meth:`SwarLayout.vmask` clears it;
+* ``sub``/``neg``: the minuend is first OR-ed with :meth:`gmask`
+  (``2**w`` per slot), so the slot difference stays in
+  ``[1, 2**(w+1))`` and no borrow crosses a slot boundary;
+* compares: ``(x | G) - y`` keeps the guard bit iff ``x >= y``
+  (signed compares first flip :meth:`smask`); the result is one 0/1
+  flag at every slot base;
+* constant shifts mask to :meth:`vmask` ``(w - k)`` before a left shift
+  and after a right one, so no bit crosses into a neighbour;
+* ``mux``: a slot-base flag ``d`` widens to the value mask
+  ``(d << w) - d``.
 
-1-bit results (compares) are returned *lane-contiguous* (bit ``l`` =
-lane ``l``), the same layout the batched simulator's packed-tag world
-uses; :meth:`SwarLayout.compress` / :meth:`SwarLayout.spread` convert
-between slot-spaced and lane-contiguous bit layouts in ``O(log n)``
-big-integer operations (binary doubling), not ``O(n)`` Python loops.
+Slot-base flags feed SWAR muxes directly; the packed 1-bit tag world
+wants them *lane-contiguous* (bit ``l`` = lane ``l``).  :meth:`compress`
+and :meth:`spread` convert between the two with one multiply when the
+lanes fit under the pitch, and with ``O(log n)`` binary-doubling steps
+otherwise -- never a per-lane loop.
 
-All primitives are pure functions of a :class:`SwarLayout` -- the
-batched code generator emits the same formulas inline with the layout's
-masks bound as closure constants, and ``tests/test_swar.py`` checks
-every primitive differentially against the scalar semantics of
-:mod:`repro.hdl.sim` across widths 2..33 and lane counts 1..64.
+``tests/test_swar.py`` checks the layout directly and runs the emitted
+formulas, one operator per signal, against the scalar simulator at
+the minimum guard band (``pitch = w + 1``).
 """
 
 from __future__ import annotations
@@ -176,11 +181,6 @@ class SwarLayout:
             word |= (v & mask) << (lane * self.pitch)
         return word
 
-    def unpack(self, word: int, width: int) -> list[int]:
-        """Canonical *word* split back into per-lane values."""
-        mask = (1 << width) - 1
-        return [(word >> (lane * self.pitch)) & mask for lane in range(self.lanes)]
-
     def get(self, word: int, lane: int, width: int) -> int:
         return (word >> (lane * self.pitch)) & ((1 << width) - 1)
 
@@ -193,182 +193,3 @@ class SwarLayout:
 def get_layout(pitch: int, lanes: int) -> SwarLayout:
     """Shared :class:`SwarLayout` instances (mask tables are reused)."""
     return SwarLayout(pitch, lanes)
-
-
-# ----------------------------------------------------------------- arithmetic
-
-
-def swar_add(lay: SwarLayout, x: int, y: int, w: int) -> int:
-    """Per-slot ``(x + y) mod 2**w``; the carry dies in the guard band."""
-    return (x + y) & lay.vmask(w)
-
-
-def swar_sub(lay: SwarLayout, x: int, y: int, w: int) -> int:
-    """Per-slot ``(x - y) mod 2**w`` via a borrowed guard bit."""
-    return ((x | lay.gmask(w)) - y) & lay.vmask(w)
-
-
-def swar_neg(lay: SwarLayout, x: int, w: int) -> int:
-    """Per-slot ``(-x) mod 2**w`` (``2**w - x``, guard absorbs ``x=0``)."""
-    return (lay.gmask(w) - x) & lay.vmask(w)
-
-
-# -------------------------------------------------------------------- bitwise
-
-
-def swar_and(lay: SwarLayout, x: int, y: int, w: int) -> int:
-    return x & y
-
-
-def swar_or(lay: SwarLayout, x: int, y: int, w: int) -> int:
-    return x | y
-
-
-def swar_xor(lay: SwarLayout, x: int, y: int, w: int) -> int:
-    return x ^ y
-
-
-def swar_not(lay: SwarLayout, x: int, w: int) -> int:
-    return x ^ lay.vmask(w)
-
-
-# --------------------------------------------------------- shifts-by-constant
-
-
-def swar_shl(lay: SwarLayout, x: int, k: int, w: int) -> int:
-    """Per-slot ``(x << k) mod 2**w`` for a *constant* k.
-
-    Bits that would leave the value region are masked off *before* the
-    shift, so nothing ever crosses into the next slot.
-    """
-    if k <= 0:
-        return x
-    if k >= w:
-        return 0
-    return (x & lay.vmask(w - k)) << k
-
-
-def swar_shr(lay: SwarLayout, x: int, k: int, w: int) -> int:
-    """Per-slot logical ``x >> k`` for a constant k."""
-    if k <= 0:
-        return x
-    if k >= w:
-        return 0
-    return (x >> k) & lay.vmask(w - k)
-
-
-def swar_asr(lay: SwarLayout, x: int, k: int, w: int) -> int:
-    """Per-slot arithmetic ``x >> k`` (shift clamped to ``w - 1``,
-    matching the scalar simulator's convention)."""
-    k = min(k, w - 1)
-    if k <= 0:
-        return x
-    t = (x >> k) & lay.vmask(w - k)
-    m = lay.replicate(1 << (w - 1 - k), w)
-    return (((t ^ m) | lay.gmask(w)) - m) & lay.vmask(w)
-
-
-# ---------------------------------------------------------- width adaptation
-
-
-def swar_zext(lay: SwarLayout, x: int, w_from: int, w_to: int) -> int:
-    """Zero-extension is the identity on canonical words."""
-    return x
-
-
-def swar_sext(lay: SwarLayout, x: int, w_from: int, w_to: int) -> int:
-    """Per-slot sign-extension from *w_from* to *w_to* bits."""
-    if w_from >= w_to:
-        return x
-    m = lay.smask(w_from)
-    return (((x ^ m) | lay.gmask(w_to)) - m) & lay.vmask(w_to)
-
-
-def swar_slice(lay: SwarLayout, x: int, hi: int, lo: int) -> int:
-    """Per-slot bit-field extract ``x[hi:lo]``."""
-    return (x >> lo) & lay.vmask(hi - lo + 1)
-
-
-def swar_cat(lay: SwarLayout, parts: Sequence[tuple[int, int]]) -> int:
-    """Per-slot concatenation of ``(word, width)`` parts, most
-    significant first (total width must stay within the pitch)."""
-    word = 0
-    shift = 0
-    for part, width in reversed(list(parts)):
-        word |= part << shift
-        shift += width
-    return word
-
-
-# ------------------------------------------------------------------ compares
-# All compares return *lane-contiguous* flags: bit l = lane l.
-
-
-def _guards_eq(lay: SwarLayout, x: int, y: int, w: int) -> int:
-    d = x ^ y
-    return (lay.gmask(w) - d) & lay.gmask(w)
-
-
-def _guards_le(lay: SwarLayout, x: int, y: int, w: int) -> int:
-    """Guard bit of slot l set iff ``x_l <= y_l`` (unsigned)."""
-    return ((y | lay.gmask(w)) - x) & lay.gmask(w)
-
-
-def swar_eq(lay: SwarLayout, x: int, y: int, w: int) -> int:
-    return lay.compress(_guards_eq(lay, x, y, w) >> w)
-
-
-def swar_ne(lay: SwarLayout, x: int, y: int, w: int) -> int:
-    return lay.compress((_guards_eq(lay, x, y, w) ^ lay.gmask(w)) >> w)
-
-
-def swar_ult(lay: SwarLayout, x: int, y: int, w: int) -> int:
-    return lay.compress((_guards_le(lay, y, x, w) ^ lay.gmask(w)) >> w)
-
-
-def swar_ule(lay: SwarLayout, x: int, y: int, w: int) -> int:
-    return lay.compress(_guards_le(lay, x, y, w) >> w)
-
-
-def swar_ugt(lay: SwarLayout, x: int, y: int, w: int) -> int:
-    return swar_ult(lay, y, x, w)
-
-
-def swar_uge(lay: SwarLayout, x: int, y: int, w: int) -> int:
-    return swar_ule(lay, y, x, w)
-
-
-def _sign_flip(lay: SwarLayout, x: int, w: int) -> int:
-    return x ^ lay.smask(w)
-
-
-def swar_slt(lay: SwarLayout, x: int, y: int, w: int) -> int:
-    return swar_ult(lay, _sign_flip(lay, x, w), _sign_flip(lay, y, w), w)
-
-
-def swar_sle(lay: SwarLayout, x: int, y: int, w: int) -> int:
-    return swar_ule(lay, _sign_flip(lay, x, w), _sign_flip(lay, y, w), w)
-
-
-def swar_sgt(lay: SwarLayout, x: int, y: int, w: int) -> int:
-    return swar_slt(lay, y, x, w)
-
-
-def swar_sge(lay: SwarLayout, x: int, y: int, w: int) -> int:
-    return swar_sle(lay, y, x, w)
-
-
-# ----------------------------------------------------------------------- mux
-
-
-def select_mask(lay: SwarLayout, sel_lanes: int, w: int) -> int:
-    """Lane-contiguous 1-bit *sel_lanes* expanded to a full per-slot
-    value mask (all *w* value bits set where the lane selects)."""
-    base = lay.spread(sel_lanes)
-    return (base << w) - base
-
-
-def swar_mux(lay: SwarLayout, sel_lanes: int, a: int, b: int, w: int) -> int:
-    """Per-slot ``a if sel else b`` with a lane-contiguous selector."""
-    mv = select_mask(lay, sel_lanes, w)
-    return b ^ ((a ^ b) & mv)

@@ -205,14 +205,14 @@ class BatchedMachines:
         lattice: Lattice | None = None,
         secure: bool = True,
         compact: bool = True,
-        engine: str | None = None,
+        engine: str = "auto",
         toolchain=None,
         capture_state: bool = False,
     ):
         tc = toolchain or get_toolchain()
         self.lattice = lattice or two_level()
         self.design = compile_processor(self.lattice, secure, toolchain=tc)
-        self.sim = tc.batch_simulator(self.design, len(executables), engine=engine or "auto")
+        self.sim = tc.batch_simulator(self.design, len(executables), engine=engine)
         self.lanes = len(executables)
         self.compact = compact
         self.capture_state = capture_state
@@ -294,7 +294,7 @@ def run_workloads(
     max_cycles: int | Sequence[int] = 2_000_000,
     batched: bool | None = None,
     compact: bool = True,
-    engine: str | None = None,
+    engine: str = "auto",
     shards: int | None = None,
     store=None,
 ) -> list[RunResult]:
@@ -309,8 +309,8 @@ def run_workloads(
     small suites with skewed run lengths are faster scalar).  *compact*
     lets the batched engine retire finished lanes mid-run (lane
     compaction); results are identical either way.  *engine* pins the
-    batched generation (``swar``/``vector``; default automatic per lane
-    count).
+    batched generation (``swar``/``vector``; default ``"auto"``,
+    automatic per lane count).
 
     ``shards=N`` (N >= 2) runs the suite on the multiprocess fleet
     instead: a pool of N worker processes, each running lane-width

@@ -80,10 +80,10 @@ VECTOR_AUTO_LANES = 64
 BATCH_ENGINES = ("swar", "vector")
 
 
-def check_engine(engine: str | None) -> None:
-    """Raise ValueError unless *engine* is None, ``"auto"`` or one of
+def check_engine(engine: str) -> None:
+    """Raise ValueError unless *engine* is ``"auto"`` or one of
     :data:`BATCH_ENGINES`."""
-    if engine not in (None, "auto", *BATCH_ENGINES):
+    if engine not in ("auto", *BATCH_ENGINES):
         raise ValueError(
             f"unknown batch engine {engine!r}; valid engines: auto, {', '.join(BATCH_ENGINES)}"
         )
@@ -473,15 +473,15 @@ class Toolchain:
         design: Design,
         lanes: int,
         retire_when: Callable[[BatchSimulator, int], bool] | None = None,
-        engine: str | None = None,
+        engine: str = "auto",
     ) -> BatchSimulator:
         """A fresh-state *lane-batched* simulator over the (shared)
         optimized module: one vectorized step advances *lanes* independent
         machine states, each bit-identical to :meth:`simulator`.
 
         *engine* names one of :data:`BATCH_ENGINES`: ``"swar"``
-        (guard-banded wide-word lane packing, the default) or
-        ``"vector"`` (NumPy uint64 lane arrays; needs NumPy); ``"auto"``
+        (guard-banded wide-word lane packing) or ``"vector"`` (NumPy
+        uint64 lane arrays; needs NumPy); ``"auto"``, the default,
         defers to :func:`auto_engine` (vector from
         :data:`VECTOR_AUTO_LANES` lanes when NumPy is importable, swar
         below) for the whole run: an auto vector batch that compaction
@@ -504,8 +504,6 @@ class Toolchain:
         auto = engine == "auto"
         if auto:
             engine = auto_engine(lanes)
-        elif engine is None:
-            engine = "swar"
         module = self.optimize(design)
         self._prime_codegen(design, module, engine)
         if engine == "vector":

@@ -654,6 +654,26 @@ class TestToolchainEngines:
         with pytest.raises(ValueError, match="unknown batch engine"):
             tc.batch_simulator(design, 4, engine="simd")
 
+    def test_default_engine_is_auto(self):
+        """One default spelling on every front door: no engine means
+        ``engine="auto"``, which is vector at 64 lanes and may hand over
+        to SWAR; None is not an engine name."""
+        import inspect
+
+        from repro.fleet import FleetRunner
+        from repro.proc.machine import BatchedMachines, run_workloads
+
+        for api in (Toolchain.batch_simulator, BatchedMachines, run_workloads, FleetRunner):
+            assert inspect.signature(api).parameters["engine"].default == "auto", api
+        tc = Toolchain()
+        design = tc.compile(samples.TDMA, two_level(), name="tc_default")
+        default = tc.batch_simulator(design, VECTOR_AUTO_LANES)
+        auto = tc.batch_simulator(design, VECTOR_AUTO_LANES, engine="auto")
+        assert type(default) is type(auto) is VectorSimulator
+        assert default._handover is not None and auto._handover is not None
+        with pytest.raises(ValueError, match="unknown batch engine None"):
+            tc.batch_simulator(design, 4, engine=None)
+
     def test_engines_agree_on_tdma(self):
         tc = Toolchain()
         design = tc.compile(samples.TDMA, two_level(), name="tc_agree")
