@@ -559,8 +559,8 @@ def test_warm_start_speedup(benchmark, tmp_path):
 
     Both sides run the ``repro simulate --lanes 64`` build flow:
     compile, optimize, ``batch_simulator(engine="auto")`` and one
-    ``step()``.  Cold pays the front end, the pass pipeline, batched
-    codegen and the reset binding's fold; warm is a fresh ``Toolchain``
+    ``step()``.  Cold pays the front end, the pass pipeline, the
+    batched state layout and the reset binding's fold; warm is a fresh ``Toolchain``
     and a fresh ``ArtifactStore`` over the same directory (the
     in-process stand-in for a new process), which must take every one
     of those from the persistent tier -- asserted via the ``store_hit``
@@ -592,7 +592,7 @@ def test_warm_start_speedup(benchmark, tmp_path):
     def warm():
         tc, sim, out = build(ArtifactStore(store_dir))
         counters = tc.counter_snapshot()
-        for stage in ("compile", "optimize", "codegen", "fold"):
+        for stage in ("compile", "optimize", "layout", "fold"):
             assert counters.get(f"store_hit:{stage}", 0) >= 1, counters
         return tc, sim, out
 

@@ -35,13 +35,13 @@ scalar loops read packed signals with a shift-and-mask, and scalar
 results feeding SWAR consumers are accumulated into packed form inside
 the loop that computes them.
 
-**Uniform-state fast path** -- when every lane agrees on the value of
+**Fold-first stepping** -- when the lanes agree on the value of some of
 the module's narrow control registers (FSM/fall registers), the step
-dispatches to a *specialized* body: the module bound to those values
-over the cone its sinks still read (:func:`repro.hdl.passes.bind`) and
-re-optimized by the standard pass pipeline.  Bodies are compiled lazily
-per observed state and cached; bindings that fail to shrink the module
-are remembered and skipped.
+dispatches to a *specialized* body: the module bound to the agreed
+values over the cone its sinks still read (:func:`repro.hdl.passes.bind`)
+and re-optimized by the standard pass pipeline.  Bodies are compiled
+lazily per observed combo and cached, up to a cap; the generic step is
+generated only when a step needs it.
 
 **Lane compaction** -- :meth:`BatchSimulator.compact` retires lanes
 mid-run (halted machines, exhausted budgets), repacking every piece of
@@ -51,15 +51,16 @@ cache at the new width, so skewed workload suites keep full occupancy;
 construction-time lane ids.
 
 Each step runs exactly one of two bit-identical paths, chosen from lane
-state alone: the folded body when every lane agrees on the control
-registers, the generic step otherwise.
+state alone: the folded body when the lanes agree on any control
+register, the generic step otherwise.
 
 All compiled artifacts are cached per (module object, engine) -- the
 same structural identity the :class:`~repro.toolchain.Toolchain` keys
 its artifacts by -- so every ``BatchSimulator`` over one module shares a
 single compilation.  A toolchain with an artifact store also persists
-the generic step and every folded body (see "persistence" below), so a
-new process loads them instead of generating them.
+the state layout, the generic step and every folded body (see
+"persistence" below), so a new process loads them instead of
+generating them.
 """
 
 from __future__ import annotations
@@ -1383,22 +1384,20 @@ def _dispatch_regs(module: Module, max_width: int = 4, max_regs: int = 4) -> lis
     return picks + onebit[: max_regs - len(picks)]
 
 
-#: A folded body must shrink the combinational block at least this much
-#: to be worth compiling.
-_FOLD_THRESHOLD = 0.5
-
-#: Bound on cached specialized bodies per module.
+#: Bound on cached specialized bodies per module: an observed combo past
+#: the cap takes the generic step.
 _MAX_BODIES = 16
 
 
 # ----------------------------------------------------------- persistence
 #
 # Generated step modules outlive the process through the toolchain's
-# artifact store: a ``codegen`` record per (module, engine) and a
-# ``fold`` record per specialized binding, both keyed under the
-# optimized module's structural key.  Their keys carry GEN_DIGEST and
-# MAGIC, so an edit to any module that shapes the generated code, or a
-# different interpreter, can never be served a stale record.
+# artifact store: a ``layout`` record and a ``codegen`` (generic step)
+# record per (module, engine), and a ``fold`` record per specialized
+# binding, all keyed under the optimized module's structural key.
+# Their keys carry GEN_DIGEST and MAGIC, so an edit to any module that
+# shapes the generated code, or a different interpreter, can never be
+# served a stale record.
 
 
 def _gen_digest() -> str:
@@ -1448,19 +1447,26 @@ def _compile(source: str, filename: str) -> _Code:
     return _Code(compile(source, filename, "exec"))
 
 
-class _Codegen(NamedTuple):
-    """The ``codegen`` record: everything an entry needs, lane-count free."""
+class _Layout(NamedTuple):
+    """The ``layout`` record: the packed state layout every body of an
+    entry shares (tiers, slot residency and pitch, dispatch registers),
+    lane-count free."""
 
-    source: str
-    code: _Code
     kinds: dict
     resident: frozenset
     pitch: int
     dispatch: list
 
 
+class _Codegen(NamedTuple):
+    """The ``codegen`` record: the generic step's source and code."""
+
+    source: str
+    code: _Code
+
+
 class _Fold(NamedTuple):
-    """A ``fold`` record's accepted body (refusals persist as None)."""
+    """A ``fold`` record: one folded body, its module, source and code."""
 
     module: Module
     source: str
@@ -1483,32 +1489,30 @@ class _BatchEntry:
     Subclassable per engine: :meth:`_make_gen` picks the code generator
     and :meth:`_namespace` the exec environment, so the vector tier
     reuses the whole body/dispatch machinery with a different lowering.
-    With a store *tier* the generic step and every folded body are
-    read through / written through the artifact store.
+
+    Construction fixes only the state layout (a ``layout`` record) that
+    every body shares.  Folded bodies are compiled per observed combo
+    (:meth:`body_for`); the generic step only on the first step whose
+    lanes disagree on every dispatch register, or whose combo is past
+    :data:`_MAX_BODIES` (:meth:`generic`).  With a store *tier* each of
+    the three record kinds is read through / written through the
+    artifact store.
     """
 
     def __init__(self, module: Module, tier=None):
         self.tier = tier
-        self.steps: dict[int, Callable] = {}
-        #: combo -> per-lane-count factory, or None when folding was refused
-        self.bodies: dict[tuple, _BatchEntry._Body | None] = {}
-        _through(tier, "codegen", (), lambda: self._generate(module), self._adopt)
+        #: combo -> folded body, compiled on the combo's first step
+        self.bodies: dict[tuple, _BatchEntry._Body] = {}
+        self._generic: _BatchEntry._Body | None = None
+        layout = _through(tier, "layout", (), lambda: self._classify(module), _Layout._make)
+        self.kinds: dict[str, str] = layout.kinds
+        self.resident = layout.resident
+        self.pitch = layout.pitch
+        self.dispatch = layout.dispatch
 
-    def _generate(self, module: Module) -> _Codegen:
+    def _classify(self, module: Module) -> _Layout:
         gen = self._make_gen(module)
-        source = gen.generate()
-        return _Codegen(
-            source, _compile(source, f"<hdl-batch:{module.name}>"), dict(gen.kinds),
-            gen.resident, gen.pitch, _dispatch_regs(module),
-        )
-
-    def _adopt(self, rec: _Codegen) -> None:
-        self.factory: Callable[[int], Callable] = self._load(rec.code)
-        self.source = rec.source
-        self.kinds: dict[str, str] = rec.kinds
-        self.resident = rec.resident
-        self.pitch = rec.pitch
-        self.dispatch = rec.dispatch
+        return _Layout(dict(gen.kinds), gen.resident, gen.pitch, _dispatch_regs(module))
 
     def _load(self, code: _Code) -> Callable[[int], Callable]:
         namespace = self._namespace()
@@ -1527,7 +1531,11 @@ class _BatchEntry:
         return {"get_layout": get_layout}
 
     class _Body:
-        def __init__(self, module: Module, source: str, factory: Callable[[int], Callable]):
+        """One compiled step body and its per-lane-count step functions;
+        *module* is the folded module (None for the generic step, whose
+        module is the entry's cache key)."""
+
+        def __init__(self, source: str, factory: Callable[[int], Callable], module=None):
             self.module = module
             self.source = source
             self.factory = factory
@@ -1539,45 +1547,50 @@ class _BatchEntry:
                 fn = self.steps[n] = self.factory(n)
             return fn
 
-    def step(self, n: int) -> Callable:
-        fn = self.steps.get(n)
-        if fn is None:
-            fn = self.steps[n] = self.factory(n)
-        return fn
+    def generic(self, module: Module) -> _BatchEntry._Body:
+        """The generic step for *module*, generated and compiled on
+        first use."""
+        if self._generic is None:
+            self._generic = _through(
+                self.tier, "codegen", (),
+                lambda: self._emit_generic(module), self._adopt_generic,
+            )
+        return self._generic
+
+    def _emit_generic(self, module: Module) -> _Codegen:
+        source = self._make_gen(module).generate()
+        return _Codegen(source, _compile(source, f"<hdl-batch:{module.name}>"))
+
+    def _adopt_generic(self, rec: _Codegen) -> _BatchEntry._Body:
+        return self._Body(rec.source, self._load(rec.code))
 
     def body_for(self, module: Module, combo: tuple) -> _BatchEntry._Body | None:
-        """The specialized body for a uniform *combo*, compiled lazily.
+        """The folded body for *combo* (None marks a register the lanes
+        disagree on), compiled lazily; None once :data:`_MAX_BODIES`
+        other combos hold bodies.
 
         The folded body is generated with the *entry's* slot pitch and
         resident-register set so it reads and writes exactly the same
         packed state layout as the generic step function.
         """
-        if combo in self.bodies:
-            return self.bodies[combo]
-        binding = {reg: v for reg, v in zip(self.dispatch, combo) if v is not None}
-        body: _BatchEntry._Body | None = None
-        compiled = sum(1 for b in self.bodies.values() if b is not None)
-        if binding and compiled < _MAX_BODIES:
-            body = _through(
+        body = self.bodies.get(combo)
+        if body is None and len(self.bodies) < _MAX_BODIES:
+            binding = {reg: v for reg, v in zip(self.dispatch, combo) if v is not None}
+            body = self.bodies[combo] = _through(
                 self.tier, "fold", (combo,),
                 lambda: self._fold(module, binding), self._adopt_body,
             )
-        self.bodies[combo] = body
         return body
 
-    def _fold(self, module: Module, binding: dict[str, int]) -> _Fold | None:
+    def _fold(self, module: Module, binding: dict[str, int]) -> _Fold:
         folded = _fold_module(module, binding)
-        if len(folded.comb) > _FOLD_THRESHOLD * max(len(module.comb), 1):
-            return None
         gen = self._make_gen(folded, pitch=self.pitch, resident=self.resident)
         source = gen.generate()
         code = _compile(source, f"<hdl-batch:{module.name}:fold>")
         return _Fold(folded, source, code)
 
-    def _adopt_body(self, rec: _Fold | None) -> _BatchEntry._Body | None:
-        if rec is None:
-            return None
-        return self._Body(rec.module, rec.source, self._load(rec.code))
+    def _adopt_body(self, rec: _Fold) -> _BatchEntry._Body:
+        return self._Body(rec.source, self._load(rec.code), rec.module)
 
 
 def _cached_entry(module: Module, key: str, factory: Callable[[], _BatchEntry]) -> _BatchEntry:
@@ -1674,10 +1687,12 @@ class BatchSimulator:
     automatically.  Compaction invalidates previously created
     :meth:`lane_view` objects (lane positions shift).
 
-    **One step path per cycle** -- when every lane agrees on the
-    narrow control registers the step runs the state-specialized
-    (folded) body, otherwise the generic step.  Both are bit-identical
-    per lane, and the choice depends on lane state alone.
+    **Fold first** -- each step runs the body folded on the dispatch
+    registers the lanes agree on (all of them, or a partial binding);
+    only a step on which they agree on none (or whose combo is past
+    the body cap) runs the generic step, which is generated on that
+    first use.  Every body is bit-identical per lane, and the choice
+    depends on lane state alone.
     """
 
     def __init__(
@@ -1748,8 +1763,6 @@ class BatchSimulator:
         """Step with *entry*'s compiled code: its slot pitch, state
         layout and dispatch-register modes."""
         self._entry = entry
-        self._step = entry.step(self.lanes)
-        self.source = entry.source
         self.pitch = entry.pitch
         self._refresh_layout()
         self._dispatch = []
@@ -1795,6 +1808,11 @@ class BatchSimulator:
         return None
 
     # -- state access -------------------------------------------------------
+
+    @property
+    def source(self) -> str:
+        """The generic step's generated source (generated on first use)."""
+        return self._entry.generic(self.module).source
 
     @property
     def signal_tiers(self) -> dict[str, str]:
@@ -1942,7 +1960,6 @@ class BatchSimulator:
         self._ones = (1 << k) - 1
         self._empty_inputs = [{}] * k
         self._refresh_layout()
-        self._step = self._entry.step(k)
         self.compactions += 1
         if self._handover is not None:
             entry = self._handover(k)
@@ -2009,7 +2026,9 @@ class BatchSimulator:
                         self.pregs, self.wregs, self.sregs, self.arrays, lane_inputs
                     )
         self.generic_steps += 1
-        return self._step(self.pregs, self.wregs, self.sregs, self.arrays, lane_inputs)
+        return self._entry.generic(self.module).step(self.lanes)(
+            self.pregs, self.wregs, self.sregs, self.arrays, lane_inputs
+        )
 
     def run(self, cycles: int, inputs: InputLike = None) -> list[dict[str, int]]:
         """Advance up to *cycles* cycles; returns the last per-lane outputs.

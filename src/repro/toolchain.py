@@ -139,7 +139,8 @@ class _StoreTier:
     """The artifact store as one batched-codegen entry sees it.
 
     Keys are the entry's ``codegen`` key, restaged per record kind
-    (``("fold", *rest, combo)`` for a folded body).  A stored record is
+    (``("layout", *rest)`` for the state layout, ``("fold", *rest,
+    combo)`` for a folded body).  A stored record is
     adopted; a miss, or a record whose code fails to load (ValueError,
     EOFError, TypeError: quarantined as corrupt), is produced afresh
     and written through.  The entry outlives the toolchain that made
@@ -496,9 +497,12 @@ class Toolchain:
         object, engine) pair -- the same structural key every other
         artifact here hangs off -- so repeated calls (randomized suites,
         the eval driver) compile once per engine, and compacted widths
-        re-enter the same per-lane-count cache.  With a store, the step
-        and the folded bodies are also persisted (``codegen`` and
-        ``fold`` stages, see :meth:`_prime_codegen`).
+        re-enter the same per-lane-count cache.  Each step runs the body
+        folded on the dispatch registers its lanes agree on; the generic
+        step is generated only on the first step that needs it.  With a
+        store, the state layout, the generic step and the folded bodies
+        are also persisted (``layout``, ``codegen`` and ``fold`` stages,
+        see :meth:`_prime_codegen`).
         """
         check_engine(engine)
         auto = engine == "auto"
@@ -529,11 +533,13 @@ class Toolchain:
 
     def _prime_codegen(self, design: Design, module: Module, engine: str) -> None:
         """Build *module*'s batched entry for *engine* through the store
-        tier: the generic step as a ``codegen`` record, folded bodies as
-        lazily persisted ``fold`` records.  The key ends in the code
-        generators' source digest and the interpreter's bytecode magic,
-        so a stale record is never served.  Memory-only designs (no
-        store, or no structural key) build on first simulator use."""
+        tier: the state layout as a ``layout`` record, read now; the
+        generic step as a ``codegen`` record and folded bodies as
+        ``fold`` records, each read or written on its first use.  The
+        key ends in the code generators' source digest and the
+        interpreter's bytecode magic, so a stale record is never served.
+        Memory-only designs (no store, or no structural key) build on
+        first simulator use."""
         tail = self._structural_tail(design)
         if tail is None or self.store is None:
             return

@@ -7,8 +7,10 @@ registers), array contents (including ``__tags`` shadow stores), and
 output-port values of N scalar :class:`~repro.hdl.sim.Simulator` runs
 over the same module -- for random programs, random lane counts, and
 random per-lane stimulus, on both the generic engine and the
-uniform-state specialized fast path.  Every step takes exactly one of
-those two paths: ``uniform_steps + generic_steps == cycles``.
+state-folded bodies.  Every step takes exactly one of those two paths:
+``uniform_steps + generic_steps == cycles``.  The folded path comes
+first: a step runs the generic step only when its lanes disagree on
+every dispatch register.
 """
 
 import ast
@@ -57,6 +59,13 @@ def assert_one_path_per_step(batch):
     """Every step ran the folded body or the generic step, nothing else."""
     assert batch.uniform_steps + batch.generic_steps == batch.cycles
     assert batch.split_steps == 0
+
+
+def assert_diverged(batch):
+    """The lanes disagreed on some dispatch register: a partial-binding
+    body (a combo holding None) ran."""
+    partial = [combo for combo in batch._entry.bodies if None in combo]
+    assert partial, f"population never diverged: {list(batch._entry.bodies)}"
 
 
 def run_lockstep(design, traces, cycles):
@@ -299,9 +308,7 @@ class TestSwarTier:
             inp = {"x": 7, "x__tag": 0}
             assert batch.step(inp) == [s.step(inp) for s in sims], cycle
             assert_lanes_match_scalars(batch.module, batch, sims, cycle)
-        assert any(b is not None for b in batch._entry.bodies.values()), (
-            "expected at least one specialized body to compile"
-        )
+        assert batch._entry.bodies, "expected at least one specialized body to compile"
         assert batch._entry.pitch == batch.pitch == 33  # 32-bit reg + guard
 
     def test_one_bit_constant_shifts(self):
@@ -365,6 +372,39 @@ state top : L = {
 }
 state other : L = { acc := acc - 1; goto other; }
 """
+
+#: One dispatch register (``fall__top``), so lanes split across p and q
+#: disagree on every dispatch register.
+FSM1_SRC = """
+reg[7:0] acc; reg[7:0] aux; input[7:0] x;
+state top : L = {
+    let state p = {
+        acc := acc + x;
+        if (acc > 200) { goto q; } else { goto p; }
+    } in
+    let state q = { aux := aux + 1; acc := 0; goto p; } in
+    fall;
+}
+"""
+
+
+def generic_lockstep(cls, design, lanes=4, cycles=160):
+    """*cls* over *design* with lanes on different x strides, lockstep
+    against scalar twins; returns the batch after checking that the
+    lanes disagreed on every dispatch register on some step and that
+    the generic step was built only then."""
+    module = design.module
+    batch = cls(module, lanes)
+    assert len(batch._entry.dispatch) == 1 and batch._entry._generic is None
+    sims = [Simulator(module) for _ in range(lanes)]
+    for cycle in range(cycles):
+        lane_inputs = [{"x": 3 + 50 * lane, "x__tag": 0} for lane in range(lanes)]
+        want = [s.step(i) for s, i in zip(sims, lane_inputs)]
+        assert batch.step(lane_inputs) == want, f"cycle {cycle}"
+        assert_lanes_match_scalars(module, batch, sims, cycle)
+        assert (batch._entry._generic is None) == (batch.generic_steps == 0), cycle
+    assert_one_path_per_step(batch)
+    return batch
 
 
 class TestLaneCompaction:
@@ -513,9 +553,10 @@ class TestLaneCompaction:
 
 class TestMajorityDispatch:
     """Diverged lane populations -- the shapes majority-cohort dispatch
-    used to split -- now run the generic step whenever lanes disagree on
-    the control registers.  Each lane stays bit-identical to its scalar
-    twin, and every step takes exactly one of the two paths."""
+    used to split.  Lanes that still agree on one dispatch register run
+    the body folded on it; lanes that disagree on every one run the
+    generic step.  Each lane stays bit-identical to its scalar twin, and
+    every step takes exactly one of the two paths."""
 
     def _lockstep(self, lanes, lane_x, cycles=160):
         design = compile_program(FSM_SRC, two_level(), name=f"fsm_maj{lanes}")
@@ -529,7 +570,7 @@ class TestMajorityDispatch:
             assert got == want, f"cycle {cycle}"
             assert_lanes_match_scalars(module, batch, sims, cycle)
         assert_one_path_per_step(batch)
-        assert batch.generic_steps > 0, "population never diverged"
+        assert_diverged(batch)
         return batch
 
     def test_half_and_half_split(self):
@@ -569,13 +610,12 @@ class TestMajorityDispatch:
         for _ in range(120):
             batch.step(inp)
         entry = batch._entry
-        assert any(b is not None and 6 in b.steps for b in entry.bodies.values())
+        assert any(6 in b.steps for b in entry.bodies.values())
         batch.compact([4, 5])
         for _ in range(120):
             batch.step(inp)
         shared = [
-            b for b in entry.bodies.values()
-            if b is not None and {4, 6} <= set(b.steps)
+            b for b in entry.bodies.values() if {4, 6} <= set(b.steps)
         ]
         assert shared, "specialized bodies must be shared across lane widths"
         # a second simulator over the same module reuses the same bodies
@@ -595,7 +635,14 @@ class TestMajorityDispatch:
         for _ in range(160):
             batch.step([{"x": 3 + 50 * (lane % 3), "x__tag": 0} for lane in range(6)])
         assert_one_path_per_step(batch)
-        assert batch.generic_steps > 0
+        assert_diverged(batch)
+
+    def test_disagreeing_on_every_dispatch_register_runs_generic(self):
+        """One dispatch register, lanes split across its states: those
+        steps can bind nothing, so the lazily built generic step runs."""
+        design = compile_program(FSM1_SRC, two_level(), name="fsm1_generic")
+        batch = generic_lockstep(BatchSimulator, design)
+        assert batch.uniform_steps > 0 and batch.generic_steps > 0
 
 
 class TestLaneIndexValidation:
@@ -684,11 +731,12 @@ class TestSpecializedFastPath:
             assert batch_outs == scalar_outs
             assert_lanes_match_scalars(module, batch, sims, cycle)
         assert batch._entry.dispatch, "expected narrow FSM dispatch registers"
-        assert any(body is not None for body in batch._entry.bodies.values()), (
-            "uniform lanes never reached a specialized body"
-        )
+        assert batch._entry.bodies, "uniform lanes never reached a specialized body"
 
     def test_mixed_states_fall_back_to_generic(self):
+        """Lanes in different inner FSM states still agree on the outer
+        fall register, so they run the body folded on it (the generic
+        step only if they agree on neither), bit-identical to scalars."""
         lat = two_level()
         design = compile_program(self.SRC, lat, name="fsm_mixed")
         module = design.module
@@ -764,10 +812,12 @@ class TestToolchainBatchCaching:
         b1 = tc.batch_simulator(design, 4)
         b2 = tc.batch_simulator(design, 4)
         b3 = tc.batch_simulator(design, 2)
-        # one entry per module: same factory, same per-lane-count step
+        # one entry per module: one generic body, one step per lane count
         assert b1._entry is b2._entry is b3._entry
-        assert b1._step is b2._step
-        assert b1._step is not b3._step  # different lane count
+        generic = b1._entry.generic(b1.module)
+        assert generic is b3._entry.generic(b3.module)
+        assert generic.step(4) is generic.step(4)
+        assert generic.step(4) is not generic.step(2)  # different lane count
         # batched and scalar engines run the same optimized module
         assert b1.module is tc.simulator(design).module
 
@@ -862,9 +912,9 @@ class TestCodegenScheduling:
     @staticmethod
     def _assert_sources_unchanged(entry, module):
         """Generic and every folded body, regenerated with the oracle."""
-        bodies = [b for b in entry.bodies.values() if b is not None]
+        bodies = list(entry.bodies.values())
         with _oracle():
-            assert entry._make_gen(module).generate() == entry.source
+            assert entry._make_gen(module).generate() == entry.generic(module).source
             for body in bodies:
                 gen = entry._make_gen(body.module, pitch=entry.pitch, resident=entry.resident)
                 assert gen.generate() == body.source
@@ -896,6 +946,43 @@ class TestCodegenScheduling:
             machines.sim.step()
         sim = machines.sim
         assert self._assert_sources_unchanged(sim._entry, sim.module) >= 1
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_lockstep_processor_never_generates_generic(self, engine):
+        """Eight lanes of one program run 400 cycles past reset into the
+        processor's Pipeline state (2,0,0,0) on folded bodies alone: no
+        step takes the generic path, its source is never generated, and
+        every lane stays bit-identical to a scalar Simulator on the raw
+        module."""
+        from repro.mips.assembler import assemble
+        from repro.proc.machine import BatchedMachines
+        from repro.toolchain import Toolchain
+        from repro.workloads import ALL_WORKLOADS
+
+        exe = assemble(ALL_WORKLOADS["specrand"].source)
+        generated = []
+        real_generate = _BatchCodeGen.generate
+
+        def generate_spy(gen):
+            generated.append(gen.module)
+            return real_generate(gen)
+
+        with mock.patch.object(_BatchCodeGen, "generate", generate_spy):
+            # a fresh toolchain, so the entry is this run's alone
+            machines = BatchedMachines([exe] * 8, engine=engine, compact=False,
+                                       toolchain=Toolchain())
+            sim = machines.sim
+            ref = Simulator(machines.design.module, optimize=False)
+            ref.arrays["memory"] = dict(exe.as_memory())
+            for cycle in range(400):
+                want = ref.step({})
+                assert sim.step() == [want] * 8, f"cycle {cycle}"
+        assert (2, 0, 0, 0) in sim._entry.bodies, list(sim._entry.bodies)
+        assert sim.generic_steps == 0 and sim.uniform_steps == sim.cycles == 400
+        assert sim._entry._generic is None
+        assert all(module is not sim.module for module in generated)
+        assert len(generated) == len(sim._entry.bodies)
+        assert_lanes_match_scalars(sim.module, sim, [ref] * 8, sim.cycles)
 
     def test_cycle_fails_loudly(self):
         """A cyclic module (validate() bypassed) must not lose signals:

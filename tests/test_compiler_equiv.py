@@ -10,6 +10,8 @@ from repro.lattice import diamond, two_level
 from repro.sapper import samples
 from repro.sapper.crossval import assert_equivalent, assert_equivalent_suite
 
+from tests.test_batch_sim import assert_diverged, assert_one_path_per_step
+
 
 def rotate_inputs(specs):
     def stim(cycle):
@@ -327,8 +329,9 @@ class TestBatchedSuites:
     def test_suite_under_eager_cohort_dispatch(self):
         """The batched conformance oracle on a population split across
         FSM states (the shape cohort dispatch used to take): the
-        diverged steps run the generic step and every lane must still
-        match its interpreter entity for entity, cycle for cycle."""
+        diverged steps run the body folded on the dispatch register the
+        lanes still agree on, and every lane must still match its
+        interpreter entity for entity, cycle for cycle."""
         src = """
         reg[7:0] acc; reg[7:0] aux; input[7:0] x;
         state top : L = {
@@ -351,8 +354,8 @@ class TestBatchedSuites:
             src, two_level(), 120, stimuli, name="fsm_suite",
         )
         batch = bcv.batch
-        assert batch.generic_steps > 0, "the population never diverged"
-        assert batch.uniform_steps + batch.generic_steps == batch.cycles
+        assert_diverged(batch)
+        assert_one_path_per_step(batch)
 
     def test_enforcement_suite_with_divergent_violations(self):
         # lanes violate (or not) independently; per-lane violation events

@@ -48,6 +48,7 @@ from repro.store import (
 from repro.toolchain import Toolchain, source_key
 
 from tests import strategies
+from tests.test_batch_sim import FSM1_SRC
 
 
 class TestAddressing:
@@ -470,8 +471,9 @@ class TestConcurrentAccess:
 
 
 # ---------------------------------------------------------------------------
-# The codegen tier: batched step modules (``codegen``) and state-folded
-# bodies (``fold``) persisted beside the compile/optimize artifacts.
+# The codegen tier: the batched state layout (``layout``), the generic
+# step (``codegen``) and state-folded bodies (``fold``) persisted beside
+# the compile/optimize artifacts.
 
 CODEGEN_ENGINES = ["swar"] + (["vector"] if HAVE_NUMPY else [])
 CODEGEN_STEPS = 300
@@ -479,8 +481,10 @@ CODEGEN_LANES = 4
 
 
 def _codegen_run(tc, which, engine, steps=CODEGEN_STEPS):
-    """Source to *steps* cycles of a *which* ("tdma" or "proc")
-    batched simulator on *tc*; returns the simulator and its outputs."""
+    """Source to *steps* cycles of a *which* batched simulator on *tc*;
+    returns the simulator and its outputs.  "tdma" and "proc" lanes
+    agree on a dispatch register every step (folded bodies only);
+    "fsm" lanes also disagree on every one (the generic step runs)."""
     if which == "proc":
         from repro.mips.assembler import assemble
         from repro.proc.machine import compile_processor
@@ -492,6 +496,10 @@ def _codegen_run(tc, which, engine, steps=CODEGEN_STEPS):
         for lane in range(CODEGEN_LANES):
             sim.load_array(lane, "memory", dict(memory))
         inputs = None
+    elif which == "fsm":
+        design = tc.compile(FSM1_SRC, two_level(), name="fsm1")
+        sim = tc.batch_simulator(design, CODEGEN_LANES, engine=engine)
+        inputs = [{"x": 3 + 50 * lane, "x__tag": 0} for lane in range(CODEGEN_LANES)]
     else:
         design = tc.compile(samples.TDMA, two_level(), name="tdma")
         sim = tc.batch_simulator(design, CODEGEN_LANES, engine=engine)
@@ -503,7 +511,7 @@ def _codegen_run(tc, which, engine, steps=CODEGEN_STEPS):
 
 
 def _bodies(sim):
-    return {combo: body and body.source for combo, body in sim._entry.bodies.items()}
+    return {combo: body.source for combo, body in sim._entry.bodies.items()}
 
 
 @contextmanager
@@ -553,12 +561,13 @@ class _NotCode:
 
 class TestCodegenTier:
     @pytest.mark.parametrize("engine", CODEGEN_ENGINES)
-    @pytest.mark.parametrize("which", ["tdma", "proc"])
+    @pytest.mark.parametrize("which", ["tdma", "proc", "fsm"])
     def test_warm_simulator_matches_cold(self, codegen_env, which, engine):
         """A simulator warm-started from the store runs no emission, no
         compile() and no fold, and matches a store-less build bit for
-        bit per lane over 300 steps, folded bodies included, with
-        byte-identical generic and folded sources."""
+        bit per lane over 300 steps, folded bodies and (on "fsm") the
+        generic step included, with byte-identical generic and folded
+        sources."""
         cold, writer, root = codegen_env
         cold_sim, cold_outs = _codegen_run(cold, which, engine)
         _codegen_run(writer, which, engine)
@@ -568,9 +577,12 @@ class TestCodegenTier:
             warm_sim, warm_outs = _codegen_run(warm, which, engine)
         assert calls == {"emit": 0, "compile": 0, "fold": 0}
         counters = warm.counter_snapshot()
-        assert counters.get("store_hit:codegen") == 1, counters
+        diverged = which == "fsm"
+        assert (warm_sim.generic_steps > 0) == diverged
+        assert counters.get("store_hit:layout") == 1, counters
+        assert counters.get("store_hit:codegen", 0) == diverged, counters
         assert counters.get("store_hit:fold", 0) >= 1, counters
-        assert "store_miss:codegen" not in counters and "store_miss:fold" not in counters
+        assert not [c for c in counters if c.startswith("store_miss:")], counters
 
         assert warm_outs == cold_outs
         for lane in range(CODEGEN_LANES):
@@ -580,20 +592,23 @@ class TestCodegenTier:
         assert _bodies(warm_sim) == _bodies(cold_sim)
         assert any(_bodies(warm_sim).values()), "no folded body ran"
 
-    def test_refused_binding_remembered_across_toolchains(self, codegen_env):
-        """The processor's (2,0,0,0) binding folds and is then refused
-        by the shrink threshold; a later toolchain reads the refusal
-        from the store instead of folding again."""
+    def test_pipeline_binding_read_from_store_across_toolchains(self, codegen_env):
+        """The processor's (2,0,0,0) binding -- its Pipeline state --
+        is a folded body like any other: a later toolchain reads it from
+        the store instead of folding again, and a warm lockstep run
+        never builds a code generator, not even to classify tiers."""
         _cold, writer, root = codegen_env
         _codegen_run(writer, "proc", "swar")
         warm = Toolchain(store=ArtifactStore(root))
         with _codegen_calls() as calls:
             sim, _ = _codegen_run(warm, "proc", "swar")
-        refused = [combo for combo, body in sim._entry.bodies.items() if body is None]
-        assert refused, "expected a binding refused by the fold threshold"
-        assert calls["fold"] == 0
+        bodies = sim._entry.bodies
+        assert (2, 0, 0, 0) in bodies
+        assert all(body is not None for body in bodies.values())
+        assert calls["fold"] == 0 and calls["emit"] == 0, calls
         hits = warm.counter_snapshot().get("store_hit:fold", 0)
-        assert hits == len(sim._entry.bodies)
+        assert hits == len(bodies)
+        assert sim.generic_steps == 0 and sim._entry._generic is None
 
     @pytest.mark.parametrize("name", ["GEN_DIGEST", "MAGIC"])
     def test_generator_or_interpreter_change_misses(self, tmp_path, monkeypatch, name):
@@ -602,16 +617,18 @@ class TestCodegenTier:
         warm = _fresh_toolchain(tmp_path)
         _codegen_run(warm, "tdma", "swar", steps=4)
         counters = warm.counter_snapshot()
-        assert counters.get("store_miss:codegen") == 1, counters
-        assert "store_hit:codegen" not in counters and "store_hit:fold" not in counters
+        assert counters.get("store_miss:layout") == 1, counters
+        assert "store_hit:layout" not in counters and "store_hit:fold" not in counters
 
     @pytest.mark.parametrize("damage", ["bit-flip", "bad-marshal", "not-code", "exec-fails"])
     def test_damaged_codegen_record_is_quarantined(self, tmp_path, damage):
-        """A damaged record is counted, quarantined and regenerated; the
-        step that runs is the regenerated one, never the damaged one."""
+        """A damaged generic-step record is counted, quarantined and
+        regenerated on the first diverged step; the step that runs is
+        the regenerated one, never the damaged one."""
         writer = _fresh_toolchain(tmp_path)
-        ref, ref_outs = _codegen_run(writer, "tdma", "swar", steps=20)
-        design = writer.compile(samples.TDMA, two_level(), name="tdma")
+        ref, ref_outs = _codegen_run(writer, "fsm", "swar", steps=20)
+        assert ref.generic_steps > 0
+        design = writer.compile(FSM1_SRC, two_level(), name="fsm1")
         key = ("codegen", *design._structural_key, writer.opt_level, "swar",
                batch_mod.GEN_DIGEST, batch_mod.MAGIC)
         store = writer.store
@@ -642,17 +659,19 @@ class TestCodegenTier:
         warm = _fresh_toolchain(tmp_path)
         with mock.patch.object(batch_mod, "_compile", compile_spy), \
                 mock.patch.object(batch_mod._BatchEntry, "_load", load_spy):
-            sim, outs = _codegen_run(warm, "tdma", "swar", steps=20)
+            sim, outs = _codegen_run(warm, "fsm", "swar", steps=20)
         counters = warm.counter_snapshot()
         assert counters.get("store_miss:codegen") == 1, counters
         assert "store_hit:codegen" not in counters
         assert warm.store.counters["corrupt"] == 1, warm.store.counters
         assert path.with_suffix(".corrupt").exists() and path.exists()
-        assert sim._entry.factory.__code__ in compiled[0].code.co_consts, "damaged step ran"
+        factory = sim._entry.generic(sim.module).factory
+        assert factory.__code__ in compiled[0].code.co_consts, "damaged step ran"
+        assert compiled[0] in loaded
         if damage != "exec-fails":  # undecodable records never reach exec
-            assert loaded[0] is compiled[0]
+            assert len(loaded) == len(sim._entry.bodies) + 1
         assert outs == ref_outs and sim.source == ref.source
 
         again = _fresh_toolchain(tmp_path)
-        _codegen_run(again, "tdma", "swar", steps=1)
+        _codegen_run(again, "fsm", "swar", steps=20)
         assert again.counter_snapshot().get("store_hit:codegen") == 1

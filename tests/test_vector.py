@@ -47,7 +47,14 @@ from repro.store import ArtifactStore
 from repro.toolchain import VECTOR_AUTO_LANES, Toolchain
 
 from tests import strategies
-from tests.test_batch_sim import FSM_SRC, assert_lanes_match_scalars, assert_one_path_per_step
+from tests.test_batch_sim import (
+    FSM1_SRC,
+    FSM_SRC,
+    assert_diverged,
+    assert_lanes_match_scalars,
+    assert_one_path_per_step,
+    generic_lockstep,
+)
 from tests.test_store import _codegen_calls
 
 
@@ -403,7 +410,7 @@ class TestMaskElision:
 
     @staticmethod
     def _entry_source(design, cls):
-        return cls(design.module, 2)._entry.source
+        return cls(design.module, 2).source
 
     def test_swar_add_guard_mask_elided(self):
         """Two 3-bit values summed into an 8-bit slot cannot carry into
@@ -525,9 +532,10 @@ class TestLaneCompaction:
 
 class TestMajorityDispatch:
     """Diverged lane populations -- the shapes majority-cohort dispatch
-    used to split -- run the generic vector step whenever lanes disagree
-    on the control registers, bit-identical to scalar twins, with every
-    step on exactly one of the two paths."""
+    used to split -- run the vector body folded on the dispatch
+    registers the lanes still agree on, or the generic vector step when
+    they agree on none, bit-identical to scalar twins, with every step
+    on exactly one of the two paths."""
 
     def _lockstep(self, lanes, lane_x, cycles=160):
         design = compile_program(FSM_SRC, two_level(), name=f"vec_maj{lanes}")
@@ -541,7 +549,7 @@ class TestMajorityDispatch:
             assert got == want, f"cycle {cycle}"
             assert_lanes_match_scalars(module, batch, sims, cycle)
         assert_one_path_per_step(batch)
-        assert batch.generic_steps > 0, "population never diverged"
+        assert_diverged(batch)
         return batch
 
     def test_half_and_half_split(self):
@@ -580,7 +588,14 @@ class TestMajorityDispatch:
         for _ in range(160):
             batch.step([{"x": 3 + 50 * (lane % 3), "x__tag": 0} for lane in range(6)])
         assert_one_path_per_step(batch)
-        assert batch.generic_steps > 0
+        assert_diverged(batch)
+
+    def test_disagreeing_on_every_dispatch_register_runs_generic(self):
+        """Lanes split across the one dispatch register's states bind
+        nothing, so the lazily built generic vector step runs."""
+        design = compile_program(FSM1_SRC, two_level(), name="vec_fsm1_generic")
+        batch = generic_lockstep(VectorSimulator, design)
+        assert batch.uniform_steps > 0 and batch.generic_steps > 0
 
 
 class TestVectorApi:
@@ -801,6 +816,25 @@ class TestAutoHandover:
             assert (out, regs) == (want, dict(scalar.regs)), lane
             assert arrays == {name: dict(a) for name, a in scalar.arrays.items()}, lane
 
+    def test_handover_builds_no_generic_step(self):
+        """Lanes that keep agreeing on a dispatch register never need
+        the generic step, before or after the handover, so neither
+        engine's is generated."""
+        tc = Toolchain()
+        design = tc.compile(samples.TDMA, two_level(), name="tdma_handover")
+        sim = tc.batch_simulator(design, VECTOR_AUTO_LANES, engine="auto")
+        scalar = Simulator(design.module, optimize=False)
+        inp = {"hi_in": 9, "hi_in__tag": 1, "lo_in": 4, "lo_in__tag": 0}
+        for cycle in range(40):
+            if cycle == 20:
+                sim.compact([0])
+            want = scalar.step(inp)
+            assert sim.step(inp) == [want] * sim.lanes, cycle
+        assert type(sim) is BatchSimulator and sim.generic_steps == 0
+        entries = batch_mod._BATCH_CACHE.get(sim.module)
+        assert set(entries) == {"vector", "swar"}
+        assert all(entry._generic is None for entry in entries.values())
+
     def test_processor_suite_matches_pinned_vector(self):
         """The six Sec. 4.3 programs on 66 processor lanes whose cycle
         budgets run out one by one once their control has diverged: the
@@ -859,19 +893,21 @@ class TestAutoHandover:
         retire = HANDOVER_LANES - VECTOR_AUTO_LANES
         sim, counters = self._store_run(tmp_path, HANDOVER_LANES, retire)
         assert isinstance(sim, VectorSimulator) and sim.lanes == VECTOR_AUTO_LANES
-        assert counters.get("store_miss:codegen") == 1, counters  # the vector entry only
+        assert counters.get("store_miss:layout") == 1, counters  # the vector entry only
+        assert counters.get("store_miss:codegen") == 1, counters
         assert "swar" not in batch_mod._BATCH_CACHE.get(sim.module)
 
     def test_warm_handover_reads_the_swar_entry_from_the_store(self, tmp_path):
         cold, counters = self._store_run(tmp_path, HANDOVER_LANES, 16)
         assert type(cold) is BatchSimulator
-        assert counters.get("store_miss:codegen") == 2, counters  # vector, then swar
+        assert counters.get("store_miss:layout") == 2, counters  # vector, then swar
+        assert counters.get("store_miss:codegen") == 2, counters
         with _codegen_calls() as calls:
             warm, counters = self._store_run(tmp_path, HANDOVER_LANES, 16)
         assert type(warm) is BatchSimulator
         assert calls == {"emit": 0, "compile": 0, "fold": 0}
-        assert counters.get("store_hit:codegen") == 2, counters
-        assert "store_miss:codegen" not in counters and "store_miss:fold" not in counters
+        assert counters.get("store_hit:layout") == counters.get("store_hit:codegen") == 2, counters
+        assert not [c for c in counters if c.startswith("store_miss:")], counters
         for lane in range(warm.lanes):
             assert warm.lane_regs(lane) == cold.lane_regs(lane)
 
