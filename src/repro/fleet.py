@@ -55,7 +55,7 @@ from repro.proc.machine import BatchedMachines, RunResult, check_budgets, compil
 from repro.proc.machine import StateResult as FleetWorkloadResult
 from repro.sapper.compiler import CompiledDesign
 from repro.store import ArtifactStore, coerce_store
-from repro.toolchain import Toolchain, check_engine
+from repro.toolchain import Toolchain
 
 __all__ = [
     "FleetError",
@@ -134,11 +134,10 @@ class _ProcJob:
     A payload is ``(executable, budget)``; its result a :class:`RunResult`.
     """
 
-    def __init__(self, lattice: Lattice, secure: bool, capture_state: bool, engine: str):
+    def __init__(self, lattice: Lattice, secure: bool, capture_state: bool):
         self.lattice = lattice
         self.secure = secure
         self.capture_state = capture_state
-        self.engine = engine
 
     def build(self, tc: Toolchain) -> None:
         tc.optimize(compile_processor(self.lattice, self.secure, toolchain=tc))
@@ -148,7 +147,6 @@ class _ProcJob:
             [exe for exe, _budget in chunk],
             self.lattice,
             self.secure,
-            engine=self.engine,
             toolchain=tc,
             capture_state=self.capture_state,
         )
@@ -226,9 +224,8 @@ class FleetRunner:
     warm-up (store read + batched codegen) is paid once.  *store*
     accepts an :class:`ArtifactStore`, a directory path, or ``None``
     (a private temporary store).  *lanes_per_worker* bounds each
-    chunk's lane width; *engine* pins one of
-    :data:`~repro.toolchain.BATCH_ENGINES` (default ``"auto"``:
-    automatic per chunk width).  ``capture_state=True`` returns
+    chunk's lane width, and each chunk's batch picks its engine
+    automatically from that width.  ``capture_state=True`` returns
     :class:`FleetWorkloadResult` with final registers and arrays.
 
     ``_doomed_pools=n`` is a fault-injection hook: every worker of the
@@ -243,7 +240,6 @@ class FleetRunner:
         secure: bool = True,
         lanes_per_worker: int = 128,
         store: ArtifactStore | str | None = None,
-        engine: str = "auto",
         start_method: str | None = None,
         requeue_limit: int = 2,
         capture_state: bool = False,
@@ -254,7 +250,6 @@ class FleetRunner:
             raise ValueError(f"shards must be >= 1, got {shards}")
         if lanes_per_worker < 1:
             raise ValueError(f"lanes_per_worker must be >= 1, got {lanes_per_worker}")
-        check_engine(engine)
         self.shards = shards
         self.lanes_per_worker = lanes_per_worker
         self.start_method = start_method
@@ -264,7 +259,7 @@ class FleetRunner:
         if self.store is None:
             self._tmp = tempfile.TemporaryDirectory(prefix="repro-fleet-")
             self.store = ArtifactStore(self._tmp.name)
-        self._job = _job or _ProcJob(lattice or two_level(), secure, capture_state, engine)
+        self._job = _job or _ProcJob(lattice or two_level(), secure, capture_state)
         self._doomed_pools = _doomed_pools
         self._pools_made = 0
         self._ctx = None

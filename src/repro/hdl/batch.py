@@ -40,8 +40,10 @@ the module's narrow control registers (FSM/fall registers), the step
 dispatches to a *specialized* body: the module bound to the agreed
 values over the cone its sinks still read (:func:`repro.hdl.passes.bind`)
 and re-optimized by the standard pass pipeline.  Bodies are compiled
-lazily per observed combo and cached, up to a cap; the generic step is
-generated only when a step needs it.
+lazily per observed combo and cached, up to a cap.  The generic step is
+the fold of the empty binding -- the module itself -- so it is one more
+body, built on the first step whose lanes agree on no control register
+(or whose combo is past the cap).
 
 **Lane compaction** -- :meth:`BatchSimulator.compact` retires lanes
 mid-run (halted machines, exhausted budgets), repacking every piece of
@@ -50,17 +52,15 @@ cache at the new width, so skewed workload suites keep full occupancy;
 :attr:`BatchSimulator.active_lanes` maps compacted positions back to
 construction-time lane ids.
 
-Each step runs exactly one of two bit-identical paths, chosen from lane
-state alone: the folded body when the lanes agree on any control
-register, the generic step otherwise.
+Each step runs one path: the body folded on the control registers the
+lanes agree on, chosen from lane state alone.
 
 All compiled artifacts are cached per (module object, engine) -- the
 same structural identity the :class:`~repro.toolchain.Toolchain` keys
 its artifacts by -- so every ``BatchSimulator`` over one module shares a
 single compilation.  A toolchain with an artifact store also persists
-the state layout, the generic step and every folded body (see
-"persistence" below), so a new process loads them instead of
-generating them.
+the state layout and every folded body (see "persistence" below), so a
+new process loads them instead of generating them.
 """
 
 from __future__ import annotations
@@ -1353,10 +1353,13 @@ class _BatchCodeGen(_CodeGen):
 
 
 def _fold_module(module: Module, binding: dict[str, int]) -> Module:
-    """*module* bound to *binding* over its live cone, then re-optimized.
-    Architectural state (registers, arrays, ports) is preserved, so the
-    folded module is a drop-in step-function source for any cycle on
-    which every lane holds the bound values."""
+    """*module* bound to *binding* over its live cone, then re-optimized;
+    the empty binding folds nothing, so it is *module* itself (a raw
+    module stays raw).  Architectural state (registers, arrays, ports)
+    is preserved, so the folded module is a drop-in step-function
+    source for any cycle on which every lane holds the bound values."""
+    if not binding:
+        return module
     return run_pipeline(bind(module, binding)).module
 
 
@@ -1384,17 +1387,17 @@ def _dispatch_regs(module: Module, max_width: int = 4, max_regs: int = 4) -> lis
     return picks + onebit[: max_regs - len(picks)]
 
 
-#: Bound on cached specialized bodies per module: an observed combo past
-#: the cap takes the generic step.
+#: Bound on cached bodies per module, the empty binding's aside: an
+#: observed combo past the cap runs the empty-binding body.
 _MAX_BODIES = 16
 
 
 # ----------------------------------------------------------- persistence
 #
 # Generated step modules outlive the process through the toolchain's
-# artifact store: a ``layout`` record and a ``codegen`` (generic step)
-# record per (module, engine), and a ``fold`` record per specialized
-# binding, all keyed under the optimized module's structural key.
+# artifact store: a ``layout`` record per (module, engine) and a
+# ``fold`` record per binding (the empty one included), all keyed under
+# the optimized module's structural key.
 # Their keys carry GEN_DIGEST and MAGIC, so an edit to any module that
 # shapes the generated code, or a different interpreter, can never be
 # served a stale record.
@@ -1458,17 +1461,9 @@ class _Layout(NamedTuple):
     dispatch: list
 
 
-class _Codegen(NamedTuple):
-    """The ``codegen`` record: the generic step's source and code."""
-
-    source: str
-    code: _Code
-
-
 class _Fold(NamedTuple):
-    """A ``fold`` record: one folded body, its module, source and code."""
+    """A ``fold`` record: one folded body's source and code."""
 
-    module: Module
     source: str
     code: _Code
 
@@ -1491,24 +1486,25 @@ class _BatchEntry:
     reuses the whole body/dispatch machinery with a different lowering.
 
     Construction fixes only the state layout (a ``layout`` record) that
-    every body shares.  Folded bodies are compiled per observed combo
-    (:meth:`body_for`); the generic step only on the first step whose
-    lanes disagree on every dispatch register, or whose combo is past
-    :data:`_MAX_BODIES` (:meth:`generic`).  With a store *tier* each of
-    the three record kinds is read through / written through the
-    artifact store.
+    every body shares.  Bodies are compiled per observed combo
+    (:meth:`body_for`), the generic step among them: it is the body of
+    the empty binding (:attr:`empty`), built on the first step whose
+    lanes agree on no dispatch register or whose combo is past
+    :data:`_MAX_BODIES`.  With a store *tier* both record kinds are
+    read through / written through the artifact store.
     """
 
     def __init__(self, module: Module, tier=None):
         self.tier = tier
-        #: combo -> folded body, compiled on the combo's first step
+        #: combo -> body, compiled on the combo's first step
         self.bodies: dict[tuple, _BatchEntry._Body] = {}
-        self._generic: _BatchEntry._Body | None = None
         layout = _through(tier, "layout", (), lambda: self._classify(module), _Layout._make)
         self.kinds: dict[str, str] = layout.kinds
         self.resident = layout.resident
         self.pitch = layout.pitch
         self.dispatch = layout.dispatch
+        #: the empty binding's combo; its body is the generic step
+        self.empty = (None,) * len(self.dispatch)
 
     def _classify(self, module: Module) -> _Layout:
         gen = self._make_gen(module)
@@ -1532,13 +1528,12 @@ class _BatchEntry:
 
     class _Body:
         """One compiled step body and its per-lane-count step functions;
-        *module* is the folded module (None for the generic step, whose
-        module is the entry's cache key)."""
+        *bound* is False for the empty binding's body (the generic step)."""
 
-        def __init__(self, source: str, factory: Callable[[int], Callable], module=None):
-            self.module = module
+        def __init__(self, source: str, factory: Callable[[int], Callable], bound: bool):
             self.source = source
             self.factory = factory
+            self.bound = bound
             self.steps: dict[int, Callable] = {}
 
         def step(self, n: int) -> Callable:
@@ -1547,38 +1542,24 @@ class _BatchEntry:
                 fn = self.steps[n] = self.factory(n)
             return fn
 
-    def generic(self, module: Module) -> _BatchEntry._Body:
-        """The generic step for *module*, generated and compiled on
-        first use."""
-        if self._generic is None:
-            self._generic = _through(
-                self.tier, "codegen", (),
-                lambda: self._emit_generic(module), self._adopt_generic,
-            )
-        return self._generic
+    def body_for(self, module: Module, combo: tuple) -> _BatchEntry._Body:
+        """The body folded on *combo* (None marks a register the lanes
+        disagree on), compiled lazily.  The empty binding's body is
+        exempt from :data:`_MAX_BODIES` and runs every combo past it.
 
-    def _emit_generic(self, module: Module) -> _Codegen:
-        source = self._make_gen(module).generate()
-        return _Codegen(source, _compile(source, f"<hdl-batch:{module.name}>"))
-
-    def _adopt_generic(self, rec: _Codegen) -> _BatchEntry._Body:
-        return self._Body(rec.source, self._load(rec.code))
-
-    def body_for(self, module: Module, combo: tuple) -> _BatchEntry._Body | None:
-        """The folded body for *combo* (None marks a register the lanes
-        disagree on), compiled lazily; None once :data:`_MAX_BODIES`
-        other combos hold bodies.
-
-        The folded body is generated with the *entry's* slot pitch and
-        resident-register set so it reads and writes exactly the same
-        packed state layout as the generic step function.
+        Every body is generated with the *entry's* slot pitch and
+        resident-register set, so all of them read and write exactly
+        the same packed state layout.
         """
         body = self.bodies.get(combo)
-        if body is None and len(self.bodies) < _MAX_BODIES:
+        if body is None:
             binding = {reg: v for reg, v in zip(self.dispatch, combo) if v is not None}
+            if binding and len(self.bodies) - (self.empty in self.bodies) >= _MAX_BODIES:
+                return self.body_for(module, self.empty)
             body = self.bodies[combo] = _through(
                 self.tier, "fold", (combo,),
-                lambda: self._fold(module, binding), self._adopt_body,
+                lambda: self._fold(module, binding),
+                lambda rec: self._Body(rec.source, self._load(rec.code), bool(binding)),
             )
         return body
 
@@ -1586,11 +1567,7 @@ class _BatchEntry:
         folded = _fold_module(module, binding)
         gen = self._make_gen(folded, pitch=self.pitch, resident=self.resident)
         source = gen.generate()
-        code = _compile(source, f"<hdl-batch:{module.name}:fold>")
-        return _Fold(folded, source, code)
-
-    def _adopt_body(self, rec: _Fold) -> _BatchEntry._Body:
-        return self._Body(rec.source, self._load(rec.code), rec.module)
+        return _Fold(source, _compile(source, f"<hdl-batch:{module.name}:fold>"))
 
 
 def _cached_entry(module: Module, key: str, factory: Callable[[], _BatchEntry]) -> _BatchEntry:
@@ -1682,17 +1659,17 @@ class BatchSimulator:
     re-enters the per-lane-count step-function cache at the new width,
     so skewed suites keep full occupancy.  ``retired`` names *current*
     lane positions; :attr:`active_lanes` maps current positions back to
-    the lane ids the simulator was constructed with.  A *retire_when*
-    predicate (``(sim, lane) -> bool``) makes :meth:`run` compact
-    automatically.  Compaction invalidates previously created
-    :meth:`lane_view` objects (lane positions shift).
+    the lane ids the simulator was constructed with.  Compaction
+    invalidates previously created :meth:`lane_view` objects (lane
+    positions shift).
 
-    **Fold first** -- each step runs the body folded on the dispatch
-    registers the lanes agree on (all of them, or a partial binding);
-    only a step on which they agree on none (or whose combo is past
-    the body cap) runs the generic step, which is generated on that
-    first use.  Every body is bit-identical per lane, and the choice
-    depends on lane state alone.
+    **One path** -- each step runs the body folded on the dispatch
+    registers the lanes agree on: all of them, a partial binding, or
+    none.  The empty binding's body is the generic step (the module
+    itself); it also runs a combo past the body cap.  Every body is
+    bit-identical per lane, and the choice depends on lane state
+    alone: ``uniform_steps`` counts the steps that ran a folded body,
+    ``generic_steps`` the ones that ran the empty binding's.
     """
 
     def __init__(
@@ -1700,7 +1677,6 @@ class BatchSimulator:
         module: Module,
         lanes: int,
         optimize: bool = True,
-        retire_when: Callable[["BatchSimulator", int], bool] | None = None,
     ):
         if lanes < 1:
             raise ValueError(f"lane count must be >= 1, got {lanes}")
@@ -1712,10 +1688,9 @@ class BatchSimulator:
         self.module = module
         self.lanes = lanes
         self.cycles = 0
-        self.retire_when = retire_when
         #: current lane position -> lane id at construction time
         self.active_lanes: list[int] = list(range(lanes))
-        #: step counters: uniform fast path / generic, plus compaction
+        #: step counters: folded / empty-binding body, plus compaction
         #: events and aggregate active lane-cycles
         self.uniform_steps = 0
         self.generic_steps = 0
@@ -1811,8 +1786,9 @@ class BatchSimulator:
 
     @property
     def source(self) -> str:
-        """The generic step's generated source (generated on first use)."""
-        return self._entry.generic(self.module).source
+        """The generic step's generated source: the empty binding's
+        body, generated on first use."""
+        return self._entry.body_for(self.module, self._entry.empty).source
 
     @property
     def signal_tiers(self) -> dict[str, str]:
@@ -1904,11 +1880,10 @@ class BatchSimulator:
 
     # -- occupancy management ----------------------------------------------
 
-    def compact(self, retired: Sequence[int] | None = None) -> list[int]:
+    def compact(self, retired: Sequence[int]) -> list[int]:
         """Drop *retired* lanes and repack all state to the survivors.
 
-        *retired* lists current lane positions (defaults to the lanes
-        the *retire_when* predicate selects); duplicates and
+        *retired* lists current lane positions; duplicates and
         out-of-range positions raise ``ValueError``, as does retiring
         every lane -- at least one must survive.  Packed tag words,
         slot-packed ``sregs``, per-lane register lists, and per-lane
@@ -1922,15 +1897,6 @@ class BatchSimulator:
         Returns the construction-time ids of the retired lanes, and
         updates :attr:`active_lanes` for the survivors.
         """
-        if retired is None:
-            if self.retire_when is None:
-                raise ValueError(
-                    "compact() needs retired lanes or a retire_when predicate"
-                )
-            retired = [
-                lane for lane in range(self.lanes) if self.retire_when(self, lane)
-            ]
-        retired = list(retired)
         seen: set[int] = set()
         for lane in retired:
             self._check_lane(lane)
@@ -1978,36 +1944,22 @@ class BatchSimulator:
             raise ValueError(f"expected {self.lanes} per-lane inputs, got {len(inputs)}")
         return [d if d is not None else {} for d in inputs]
 
-    def _uniform_combo(self) -> tuple | None:
+    def _uniform_combo(self) -> tuple:
+        """Each dispatch register's value if every lane holds it, else
+        None; all None (``()`` without dispatch registers) is the empty
+        binding."""
         vals = []
-        some = False
         for name, mode, mask in self._dispatch:
             if mode == "p":
                 p = self.pregs[name]
-                if p == 0:
-                    vals.append(0)
-                    some = True
-                elif p == self._ones:
-                    vals.append(1)
-                    some = True
-                else:
-                    vals.append(None)
+                vals.append(0 if p == 0 else 1 if p == self._ones else None)
             elif mode == "w":
-                v0 = self._sreg_uniform(name, mask)
-                vals.append(v0)
-                if v0 is not None:
-                    some = True
+                vals.append(self._sreg_uniform(name, mask))
             else:
                 lst = self.wregs[name]
                 v0 = lst[0]
-                for v in lst:
-                    if v != v0:
-                        vals.append(None)
-                        break
-                else:
-                    vals.append(v0)
-                    some = True
-        return tuple(vals) if some else None
+                vals.append(v0 if all(v == v0 for v in lst) else None)
+        return tuple(vals)
 
     def step(self, inputs: InputLike = None) -> list[dict[str, int]]:
         """Advance every lane one clock cycle; returns per-lane outputs."""
@@ -2016,47 +1968,18 @@ class BatchSimulator:
         if self.taint is not None:
             self.taint.step()
         lane_inputs = self._lane_inputs(inputs)
-        if self._dispatch:
-            combo = self._uniform_combo()
-            if combo is not None:
-                body = self._entry.body_for(self.module, combo)
-                if body is not None:
-                    self.uniform_steps += 1
-                    return body.step(self.lanes)(
-                        self.pregs, self.wregs, self.sregs, self.arrays, lane_inputs
-                    )
-        self.generic_steps += 1
-        return self._entry.generic(self.module).step(self.lanes)(
+        body = self._entry.body_for(self.module, self._uniform_combo())
+        if body.bound:
+            self.uniform_steps += 1
+        else:
+            self.generic_steps += 1
+        return body.step(self.lanes)(
             self.pregs, self.wregs, self.sregs, self.arrays, lane_inputs
         )
 
     def run(self, cycles: int, inputs: InputLike = None) -> list[dict[str, int]]:
-        """Advance up to *cycles* cycles; returns the last per-lane outputs.
-
-        With a *retire_when* predicate set, retired lanes are compacted
-        away after every step (the returned list covers the surviving
-        lanes, in :attr:`active_lanes` order); the run stops early once
-        every remaining lane retires.
-        """
-        per_lane = not (inputs is None or isinstance(inputs, dict))
-        if per_lane:
-            inputs = list(inputs)  # aligned with current lane positions
+        """Advance *cycles* cycles; returns the last per-lane outputs."""
         out: list[dict[str, int]] = [{} for _ in range(self.lanes)]
         for _ in range(cycles):
             out = self.step(inputs)
-            if self.retire_when is not None:
-                retired = [
-                    lane for lane in range(self.lanes)
-                    if self.retire_when(self, lane)
-                ]
-                if len(retired) == self.lanes:
-                    break
-                if retired:
-                    gone = set(retired)
-                    self.compact(retired)
-                    out = [o for lane, o in enumerate(out) if lane not in gone]
-                    if per_lane:  # keep the stimulus aligned with survivors
-                        inputs = [
-                            d for lane, d in enumerate(inputs) if lane not in gone
-                        ]
         return out

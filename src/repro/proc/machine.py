@@ -205,14 +205,13 @@ class BatchedMachines:
         lattice: Lattice | None = None,
         secure: bool = True,
         compact: bool = True,
-        engine: str = "auto",
         toolchain=None,
         capture_state: bool = False,
     ):
         tc = toolchain or get_toolchain()
         self.lattice = lattice or two_level()
         self.design = compile_processor(self.lattice, secure, toolchain=tc)
-        self.sim = tc.batch_simulator(self.design, len(executables), engine=engine)
+        self.sim = tc.batch_simulator(self.design, len(executables))
         self.lanes = len(executables)
         self.compact = compact
         self.capture_state = capture_state
@@ -294,7 +293,6 @@ def run_workloads(
     max_cycles: int | Sequence[int] = 2_000_000,
     batched: bool | None = None,
     compact: bool = True,
-    engine: str = "auto",
     shards: int | None = None,
     store=None,
 ) -> list[RunResult]:
@@ -308,9 +306,7 @@ def run_workloads(
     ~ :attr:`~BatchedMachines.MIN_LANES` scalar steps on this design, so
     small suites with skewed run lengths are faster scalar).  *compact*
     lets the batched engine retire finished lanes mid-run (lane
-    compaction); results are identical either way.  *engine* pins the
-    batched generation (``swar``/``vector``; default ``"auto"``,
-    automatic per lane count).
+    compaction); results are identical either way.
 
     ``shards=N`` (N >= 2) runs the suite on the multiprocess fleet
     instead: a pool of N worker processes, each running lane-width
@@ -324,16 +320,12 @@ def run_workloads(
     if shards is not None and shards > 1:
         from repro.fleet import FleetRunner
 
-        with FleetRunner(
-            shards=shards, lattice=lattice, store=store, engine=engine
-        ) as fleet:
+        with FleetRunner(shards=shards, lattice=lattice, store=store) as fleet:
             return fleet.run(executables, max_cycles=budgets)
     if batched is None:
         batched = len(executables) >= BatchedMachines.MIN_LANES
     if batched:
-        return BatchedMachines(
-            executables, lattice, compact=compact, engine=engine
-        ).run(budgets)
+        return BatchedMachines(executables, lattice, compact=compact).run(budgets)
     results = []
     for exe, budget in zip(executables, budgets):
         machine = SapperMachine(lattice)

@@ -138,18 +138,19 @@ def source_key(source: Source) -> tuple:
 class _StoreTier:
     """The artifact store as one batched-codegen entry sees it.
 
-    Keys are the entry's ``codegen`` key, restaged per record kind
-    (``("layout", *rest)`` for the state layout, ``("fold", *rest,
-    combo)`` for a folded body).  A stored record is
-    adopted; a miss, or a record whose code fails to load (ValueError,
-    EOFError, TypeError: quarantined as corrupt), is produced afresh
-    and written through.  The entry outlives the toolchain that made
-    it, so the counters are reached through a weak reference.
+    Keys are the entry's key *tail* behind the record kind:
+    ``("layout", *tail)`` for the state layout, ``("fold", *tail,
+    combo)`` for a folded body (the empty binding's, the generic step,
+    included).  A stored record is adopted; a miss, or a record whose
+    code fails to load (ValueError, EOFError, TypeError: quarantined as
+    corrupt), is produced afresh and written through.  The entry
+    outlives the toolchain that made it, so the counters are reached
+    through a weak reference.
     """
 
-    def __init__(self, toolchain: Toolchain, key: tuple):
+    def __init__(self, toolchain: Toolchain, tail: tuple):
         self.store = toolchain.store
-        self.key = key
+        self.tail = tail
         self._bump = weakref.WeakMethod(toolchain.bump)
 
     def _count(self, counter: str) -> None:
@@ -158,7 +159,7 @@ class _StoreTier:
             bump(counter)
 
     def through(self, stage: str, extra: tuple, produce: Callable, adopt: Callable):
-        key = (stage, *self.key[1:], *extra)
+        key = (stage, *self.tail, *extra)
         record = self.store.get(key, default=MISS)
         if record is not MISS:
             try:
@@ -473,7 +474,6 @@ class Toolchain:
         self,
         design: Design,
         lanes: int,
-        retire_when: Callable[[BatchSimulator, int], bool] | None = None,
         engine: str = "auto",
     ) -> BatchSimulator:
         """A fresh-state *lane-batched* simulator over the (shared)
@@ -489,20 +489,17 @@ class Toolchain:
         leaves with fewer lanes continues on swar, as the same object
         (see :meth:`BatchSimulator.compact`; the swar entry is built
         on the first such handover, through the store when there is
-        one).  Any other name raises ValueError.  *retire_when*
-        installs a lane-retirement predicate (``(sim, lane) -> bool``)
-        driving automatic lane compaction in :meth:`BatchSimulator.run`.
-        The batched step function, its per-lane-count factories, and
-        any state-specialized fast-path bodies are cached per (module
-        object, engine) pair -- the same structural key every other
-        artifact here hangs off -- so repeated calls (randomized suites,
-        the eval driver) compile once per engine, and compacted widths
-        re-enter the same per-lane-count cache.  Each step runs the body
-        folded on the dispatch registers its lanes agree on; the generic
-        step is generated only on the first step that needs it.  With a
-        store, the state layout, the generic step and the folded bodies
-        are also persisted (``layout``, ``codegen`` and ``fold`` stages,
-        see :meth:`_prime_codegen`).
+        one).  Any other name raises ValueError.  The state layout and
+        every compiled body, with its per-lane-count factories, are
+        cached per (module object, engine) pair -- the same structural
+        key every other artifact here hangs off -- so repeated calls
+        (randomized suites, the eval driver) compile once per engine,
+        and compacted widths re-enter the same per-lane-count cache.
+        Each step runs the body folded on the dispatch registers its
+        lanes agree on; the generic step is the empty binding's body,
+        generated only on the first step that binds nothing.  With a
+        store, the state layout and the bodies are also persisted
+        (``layout`` and ``fold`` stages, see :meth:`_prime_codegen`).
         """
         check_engine(engine)
         auto = engine == "auto"
@@ -513,11 +510,11 @@ class Toolchain:
         if engine == "vector":
             from repro.hdl.vector import VectorSimulator
 
-            sim = VectorSimulator(module, lanes, optimize=False, retire_when=retire_when)
+            sim = VectorSimulator(module, lanes, optimize=False)
             if auto:
                 sim._handover = functools.partial(self._handover_entry, design, module)
             return sim
-        return BatchSimulator(module, lanes, optimize=False, retire_when=retire_when)
+        return BatchSimulator(module, lanes, optimize=False)
 
     def _handover_entry(
         self, design: Design, module: Module, lanes: int
@@ -533,18 +530,19 @@ class Toolchain:
 
     def _prime_codegen(self, design: Design, module: Module, engine: str) -> None:
         """Build *module*'s batched entry for *engine* through the store
-        tier: the state layout as a ``layout`` record, read now; the
-        generic step as a ``codegen`` record and folded bodies as
-        ``fold`` records, each read or written on its first use.  The
-        key ends in the code generators' source digest and the
-        interpreter's bytecode magic, so a stale record is never served.
-        Memory-only designs (no store, or no structural key) build on
-        first simulator use."""
+        tier: the state layout as a ``layout`` record, read now; each
+        body (the generic step is the empty binding's) as a ``fold``
+        record, read or written on its first use.  The key ends in the
+        code generators' source digest and the interpreter's bytecode
+        magic, so a stale record is never served.  Memory-only designs
+        (no store, or no structural key) build on first simulator
+        use."""
         tail = self._structural_tail(design)
         if tail is None or self.store is None:
             return
-        key = ("codegen", *tail, self.opt_level, engine, _batch.GEN_DIGEST, _batch.MAGIC)
-        tier = _StoreTier(self, key)
+        tier = _StoreTier(
+            self, (*tail, self.opt_level, engine, _batch.GEN_DIGEST, _batch.MAGIC)
+        )
         if engine == "vector":
             from repro.hdl.vector import HAVE_NUMPY, _vector_entry
 

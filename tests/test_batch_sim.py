@@ -6,11 +6,11 @@ contents (architectural registers *and* the compiler's shadow-tag
 registers), array contents (including ``__tags`` shadow stores), and
 output-port values of N scalar :class:`~repro.hdl.sim.Simulator` runs
 over the same module -- for random programs, random lane counts, and
-random per-lane stimulus, on both the generic engine and the
-state-folded bodies.  Every step takes exactly one of those two paths:
-``uniform_steps + generic_steps == cycles``.  The folded path comes
-first: a step runs the generic step only when its lanes disagree on
-every dispatch register.
+random per-lane stimulus, on every state-folded body.  The generic
+step is the body of the empty binding, so every step runs one body:
+``uniform_steps + generic_steps == cycles`` counts the folded and the
+empty-binding ones, and a step runs the empty binding's only when its
+lanes disagree on every dispatch register.
 """
 
 import ast
@@ -22,6 +22,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro import commands
 from repro.hdl import HAVE_NUMPY, BatchSimulator, Simulator
 from repro.hdl import batch as batch_mod
 from repro.hdl.batch import _BatchCodeGen
@@ -56,15 +57,16 @@ def assert_lanes_match_scalars(module, batch, sims, cycle):
 
 
 def assert_one_path_per_step(batch):
-    """Every step ran the folded body or the generic step, nothing else."""
+    """Every step ran one body: a folded one or the empty binding's."""
     assert batch.uniform_steps + batch.generic_steps == batch.cycles
     assert batch.split_steps == 0
 
 
 def assert_diverged(batch):
     """The lanes disagreed on some dispatch register: a partial-binding
-    body (a combo holding None) ran."""
-    partial = [combo for combo in batch._entry.bodies if None in combo]
+    body (a combo holding None, not the empty binding's) ran."""
+    entry = batch._entry
+    partial = [combo for combo in entry.bodies if None in combo and combo != entry.empty]
     assert partial, f"population never diverged: {list(batch._entry.bodies)}"
 
 
@@ -388,22 +390,39 @@ state top : L = {
 """
 
 
+#: A counter that halts once it passes 40, so lanes driven with
+#: different ``x`` halt on different cycles.
+HALTING_SRC = """
+reg[7:0] cnt; input[7:0] x; output halted : L; output[7:0] v;
+state top : L = {
+    let state run = { cnt := cnt + x; v := cnt; if (cnt > 40) { goto done; } else { goto run; } } in
+    let state done = { halted := 1; goto done; } in
+    fall;
+}
+"""
+
+
 def generic_lockstep(cls, design, lanes=4, cycles=160):
     """*cls* over *design* with lanes on different x strides, lockstep
     against scalar twins; returns the batch after checking that the
     lanes disagreed on every dispatch register on some step and that
-    the generic step was built only then."""
+    the empty binding's body (the generic step) was built only then,
+    as the module's own step."""
     module = design.module
     batch = cls(module, lanes)
-    assert len(batch._entry.dispatch) == 1 and batch._entry._generic is None
+    entry = batch._entry
+    assert len(entry.dispatch) == 1 and entry.empty not in entry.bodies
     sims = [Simulator(module) for _ in range(lanes)]
     for cycle in range(cycles):
         lane_inputs = [{"x": 3 + 50 * lane, "x__tag": 0} for lane in range(lanes)]
         want = [s.step(i) for s, i in zip(sims, lane_inputs)]
         assert batch.step(lane_inputs) == want, f"cycle {cycle}"
         assert_lanes_match_scalars(module, batch, sims, cycle)
-        assert (batch._entry._generic is None) == (batch.generic_steps == 0), cycle
+        assert (entry.empty not in entry.bodies) == (batch.generic_steps == 0), cycle
     assert_one_path_per_step(batch)
+    generic = entry.bodies[entry.empty]
+    assert not generic.bound
+    assert generic.source == entry._make_gen(batch.module).generate()
     return batch
 
 
@@ -495,15 +514,13 @@ class TestLaneCompaction:
             assert batch.step(inp) == want
             assert_lanes_match_scalars(module, batch, sims, cycle)
 
-    def test_retire_when_drives_run_compaction(self):
+    def test_explicit_compact_matches_uncompacted_twin(self):
         design = compile_program(samples.TDMA, two_level(), name="ret")
         module = design.module
-        batch = BatchSimulator(
-            module, 3,
-            retire_when=lambda sim, lane: sim.active_lanes[lane] == 1
-            and sim.cycles >= 5,
-        )
-        outs = batch.run(10)
+        batch = BatchSimulator(module, 3)
+        batch.run(5)
+        assert batch.compact([1]) == [1]
+        outs = batch.run(5)
         assert batch.active_lanes == [0, 2]
         assert batch.lanes == 2 == len(outs)
         assert batch.compactions == 1 and batch.cycles == 10
@@ -514,41 +531,48 @@ class TestLaneCompaction:
             assert batch.lane_regs(pos) == twin.lane_regs(orig)
 
     def test_run_reslices_per_lane_inputs_across_compaction(self):
-        """run() with a per-lane stimulus list must keep the list
-        aligned with the surviving positions after each compaction
-        (regression: the original list length tripped _lane_inputs'
-        count check on the first post-compaction step)."""
-        design = compile_program(FSM_SRC, two_level(), name="ret_inputs")
+        """``commands.run_lanes`` with a per-lane stimulus retires each
+        lane on the step its ``halted`` output fires, lanes halting at
+        different cycles, and keeps the stimulus aligned with the
+        surviving positions: every lane, retired or surviving, matches a
+        scalar Simulator fed its own stimulus."""
+        design = compile_program(HALTING_SRC, two_level(), name="ret_inputs")
         module = design.module
-        lane_inputs = [{"x": 3 + 50 * lane, "x__tag": 0} for lane in range(3)]
-        batch = BatchSimulator(
-            module, 3,
-            retire_when=lambda sim, lane: sim.active_lanes[lane] == 1
-            and sim.cycles >= 4,
-        )
-        out = batch.run(12, lane_inputs)
-        assert batch.active_lanes == [0, 2] and len(out) == 2
-        # surviving lanes saw their own stimulus throughout
-        sims = [Simulator(module) for _ in range(3)]
-        for _cycle in range(12):
-            for lane, sim in enumerate(sims):
-                sim.step(lane_inputs[lane])
-        for pos, orig in enumerate(batch.active_lanes):
-            for name in module.regs:
-                assert batch.get_reg(pos, name) == sims[orig].regs[name], (orig, name)
+        stim = [{"x": x} for x in (1, 7, 2, 13)]
+        batch = BatchSimulator(module, 4)
+        run = commands.run_lanes(batch, 18, {}, stim)
+        assert batch.active_lanes == [0, 2] and run.active_lanes == 2
+        assert batch.compactions == 2, "lanes 1 and 3 must halt on different steps"
+        for lane, inputs in enumerate(stim):
+            sim = Simulator(module)
+            for _ in range(batch.cycles):
+                out = sim.step(inputs)
+                if out["halted"]:
+                    break
+            assert run.final[lane] == out, lane
+            if lane in batch.active_lanes:
+                pos = batch.active_lanes.index(lane)
+                assert not out["halted"] and batch.lane_regs(pos) == dict(sim.regs), lane
+            else:
+                assert out["halted"], lane
 
     def test_run_stops_when_every_lane_retires(self):
-        design = compile_program(samples.TDMA, two_level(), name="ret_all")
-        batch = BatchSimulator(design.module, 2, retire_when=lambda sim, lane: True)
-        batch.run(10)
-        assert batch.cycles == 1 and batch.lanes == 2  # stopped, not compacted
+        """``commands.run_lanes`` stops on the step every lane halts,
+        without compacting."""
+        design = compile_program(HALTING_SRC, two_level(), name="ret_all")
+        batch = BatchSimulator(design.module, 2)
+        commands.run_lanes(batch, 10, {"x": 50})
+        assert batch.cycles < 10 and batch.lanes == 2 and batch.compactions == 0
 
     def test_compact_without_predicate_or_lanes_rejected(self):
+        """compact() takes the lanes to retire: there is no predicate to
+        default to, and retiring none is a no-op."""
         design = compile_program(samples.TDMA, two_level(), name="noretire")
         batch = BatchSimulator(design.module, 2)
-        with pytest.raises(ValueError, match="retire_when"):
+        with pytest.raises(TypeError):
             batch.compact()
         assert batch.compact([]) == []
+        assert batch.lanes == 2 and batch.compactions == 0
 
 
 class TestMajorityDispatch:
@@ -814,8 +838,9 @@ class TestToolchainBatchCaching:
         b3 = tc.batch_simulator(design, 2)
         # one entry per module: one generic body, one step per lane count
         assert b1._entry is b2._entry is b3._entry
-        generic = b1._entry.generic(b1.module)
-        assert generic is b3._entry.generic(b3.module)
+        generic = b1._entry.body_for(b1.module, b1._entry.empty)
+        assert generic is b3._entry.body_for(b3.module, b3._entry.empty)
+        assert not generic.bound
         assert generic.step(4) is generic.step(4)
         assert generic.step(4) is not generic.step(2)  # different lane count
         # batched and scalar engines run the same optimized module
@@ -872,6 +897,29 @@ def _codegen_makers():
     return makers
 
 
+def _entry_makers():
+    makers = [batch_mod._BatchEntry]
+    if HAVE_NUMPY:
+        from repro.hdl.vector import _VectorEntry
+
+        makers.append(_VectorEntry)
+    return makers
+
+
+def processor_lanes(exe, lanes, engine, tc=None):
+    """*lanes* copies of *exe* on the secure processor, batched on the
+    pinned *engine*; returns the design and the simulator."""
+    from repro.proc.machine import compile_processor
+    from repro.toolchain import get_toolchain
+
+    tc = tc or get_toolchain()
+    design = compile_processor(two_level(), True, toolchain=tc)
+    sim = tc.batch_simulator(design, lanes, engine=engine)
+    for lane in range(lanes):
+        sim.load_array(lane, "memory", exe.as_memory())
+    return design, sim
+
+
 def _oracle():
     return mock.patch.object(_BatchCodeGen, "_phase_waves", fixpoint_waves)
 
@@ -911,14 +959,49 @@ class TestCodegenScheduling:
 
     @staticmethod
     def _assert_sources_unchanged(entry, module):
-        """Generic and every folded body, regenerated with the oracle."""
-        bodies = list(entry.bodies.values())
+        """The generic step (the empty binding's body, built here if no
+        step needed it) and every folded body, each regenerated with the
+        oracle from its own fold of *module*; returns the number of
+        folded bodies."""
+        folded = sum(body.bound for body in entry.bodies.values())
+        generic = entry.body_for(module, entry.empty)
         with _oracle():
-            assert entry._make_gen(module).generate() == entry.generic(module).source
-            for body in bodies:
-                gen = entry._make_gen(body.module, pitch=entry.pitch, resident=entry.resident)
-                assert gen.generate() == body.source
-        return len(bodies)
+            assert entry._make_gen(module).generate() == generic.source
+            for combo, body in entry.bodies.items():
+                binding = {reg: v for reg, v in zip(entry.dispatch, combo) if v is not None}
+                gen = entry._make_gen(
+                    batch_mod._fold_module(module, binding),
+                    pitch=entry.pitch, resident=entry.resident,
+                )
+                assert gen.generate() == body.source, combo
+        return folded
+
+    @staticmethod
+    def _assert_empty_binding_is_generic(module):
+        """On both engines, the empty binding folds nothing and its body
+        is the module's own step, byte for byte."""
+        assert batch_mod._fold_module(module, {}) is module
+        for make in _entry_makers():
+            entry = make(module)
+            body = entry.body_for(module, entry.empty)
+            assert not body.bound and list(entry.bodies) == [entry.empty]
+            assert body.source == entry._make_gen(module).generate()
+
+    @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(strategies.programs())
+    def test_empty_binding_body_is_generic_on_random_programs(self, program):
+        lat = two_level()
+        design = compile_program(analyze(program, lat), lat, secure=True, name="rand_empty")
+        self._assert_empty_binding_is_generic(design.module)
+        self._assert_empty_binding_is_generic(optimize(design.module))
+
+    @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(strategies.wide_programs())
+    def test_empty_binding_body_is_generic_on_wide_programs(self, program):
+        lat = two_level()
+        design = compile_program(analyze(program, lat), lat, secure=True, name="wide_empty")
+        self._assert_empty_binding_is_generic(design.module)
+        self._assert_empty_binding_is_generic(optimize(design.module))
 
     ENGINES = ["swar"] + (["vector"] if HAVE_NUMPY else [])
 
@@ -937,25 +1020,22 @@ class TestCodegenScheduling:
     @pytest.mark.parametrize("engine", ENGINES)
     def test_processor_sources_byte_identical(self, engine):
         from repro.mips.assembler import assemble
-        from repro.proc.machine import BatchedMachines
         from repro.workloads import ALL_WORKLOADS
 
         exe = assemble(ALL_WORKLOADS["specrand"].source)
-        machines = BatchedMachines([exe] * 4, engine=engine, compact=False)
+        _design, sim = processor_lanes(exe, 4, engine)
         for _ in range(300):
-            machines.sim.step()
-        sim = machines.sim
+            sim.step()
         assert self._assert_sources_unchanged(sim._entry, sim.module) >= 1
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_lockstep_processor_never_generates_generic(self, engine):
         """Eight lanes of one program run 400 cycles past reset into the
         processor's Pipeline state (2,0,0,0) on folded bodies alone: no
-        step takes the generic path, its source is never generated, and
-        every lane stays bit-identical to a scalar Simulator on the raw
-        module."""
+        step takes the empty binding's body (the generic step), it is
+        never built, and every lane stays bit-identical to a scalar
+        Simulator on the raw module."""
         from repro.mips.assembler import assemble
-        from repro.proc.machine import BatchedMachines
         from repro.toolchain import Toolchain
         from repro.workloads import ALL_WORKLOADS
 
@@ -969,17 +1049,15 @@ class TestCodegenScheduling:
 
         with mock.patch.object(_BatchCodeGen, "generate", generate_spy):
             # a fresh toolchain, so the entry is this run's alone
-            machines = BatchedMachines([exe] * 8, engine=engine, compact=False,
-                                       toolchain=Toolchain())
-            sim = machines.sim
-            ref = Simulator(machines.design.module, optimize=False)
+            design, sim = processor_lanes(exe, 8, engine, Toolchain())
+            ref = Simulator(design.module, optimize=False)
             ref.arrays["memory"] = dict(exe.as_memory())
             for cycle in range(400):
                 want = ref.step({})
                 assert sim.step() == [want] * 8, f"cycle {cycle}"
         assert (2, 0, 0, 0) in sim._entry.bodies, list(sim._entry.bodies)
         assert sim.generic_steps == 0 and sim.uniform_steps == sim.cycles == 400
-        assert sim._entry._generic is None
+        assert sim._entry.empty not in sim._entry.bodies
         assert all(module is not sim.module for module in generated)
         assert len(generated) == len(sim._entry.bodies)
         assert_lanes_match_scalars(sim.module, sim, [ref] * 8, sim.cycles)

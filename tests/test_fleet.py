@@ -460,10 +460,6 @@ class TestConstruction:
         with pytest.raises(ValueError, match="shards"):
             FleetRunner(shards=0)
 
-    def test_bad_engine_rejected(self):
-        with pytest.raises(ValueError, match="engine"):
-            FleetRunner(engine="quantum")
-
     def test_private_store_is_cleaned_up(self):
         fleet = FleetRunner(shards=1)
         root = fleet.store.root

@@ -471,9 +471,9 @@ class TestConcurrentAccess:
 
 
 # ---------------------------------------------------------------------------
-# The codegen tier: the batched state layout (``layout``), the generic
-# step (``codegen``) and state-folded bodies (``fold``) persisted beside
-# the compile/optimize artifacts.
+# The codegen tier: the batched state layout (``layout``) and the
+# state-folded bodies (``fold``; the generic step is the empty binding's)
+# persisted beside the compile/optimize artifacts.
 
 CODEGEN_ENGINES = ["swar"] + (["vector"] if HAVE_NUMPY else [])
 CODEGEN_STEPS = 300
@@ -578,10 +578,12 @@ class TestCodegenTier:
         assert calls == {"emit": 0, "compile": 0, "fold": 0}
         counters = warm.counter_snapshot()
         diverged = which == "fsm"
+        entry = warm_sim._entry
         assert (warm_sim.generic_steps > 0) == diverged
+        assert (entry.empty in entry.bodies) == diverged
         assert counters.get("store_hit:layout") == 1, counters
-        assert counters.get("store_hit:codegen", 0) == diverged, counters
-        assert counters.get("store_hit:fold", 0) >= 1, counters
+        # every body, the generic step on "fsm" included, from the store
+        assert counters.get("store_hit:fold", 0) == len(entry.bodies) >= 1 + diverged, counters
         assert not [c for c in counters if c.startswith("store_miss:")], counters
 
         assert warm_outs == cold_outs
@@ -608,7 +610,7 @@ class TestCodegenTier:
         assert calls["fold"] == 0 and calls["emit"] == 0, calls
         hits = warm.counter_snapshot().get("store_hit:fold", 0)
         assert hits == len(bodies)
-        assert sim.generic_steps == 0 and sim._entry._generic is None
+        assert sim.generic_steps == 0 and sim._entry.empty not in bodies
 
     @pytest.mark.parametrize("name", ["GEN_DIGEST", "MAGIC"])
     def test_generator_or_interpreter_change_misses(self, tmp_path, monkeypatch, name):
@@ -622,15 +624,16 @@ class TestCodegenTier:
 
     @pytest.mark.parametrize("damage", ["bit-flip", "bad-marshal", "not-code", "exec-fails"])
     def test_damaged_codegen_record_is_quarantined(self, tmp_path, damage):
-        """A damaged generic-step record is counted, quarantined and
-        regenerated on the first diverged step; the step that runs is
-        the regenerated one, never the damaged one."""
+        """A damaged generic-step record -- the ``fold`` record of the
+        empty binding -- is counted, quarantined and regenerated on the
+        first diverged step; the step that runs is the regenerated one,
+        never the damaged one."""
         writer = _fresh_toolchain(tmp_path)
         ref, ref_outs = _codegen_run(writer, "fsm", "swar", steps=20)
         assert ref.generic_steps > 0
         design = writer.compile(FSM1_SRC, two_level(), name="fsm1")
-        key = ("codegen", *design._structural_key, writer.opt_level, "swar",
-               batch_mod.GEN_DIGEST, batch_mod.MAGIC)
+        key = ("fold", *design._structural_key, writer.opt_level, "swar",
+               batch_mod.GEN_DIGEST, batch_mod.MAGIC, ref._entry.empty)
         store = writer.store
         path = store.path_for(key)
         if damage == "bit-flip":
@@ -661,17 +664,21 @@ class TestCodegenTier:
                 mock.patch.object(batch_mod._BatchEntry, "_load", load_spy):
             sim, outs = _codegen_run(warm, "fsm", "swar", steps=20)
         counters = warm.counter_snapshot()
-        assert counters.get("store_miss:codegen") == 1, counters
-        assert "store_hit:codegen" not in counters
+        bodies = sim._entry.bodies
+        assert counters.get("store_miss:fold") == 1, counters
+        assert counters.get("store_hit:fold") == len(bodies) - 1, counters
         assert warm.store.counters["corrupt"] == 1, warm.store.counters
         assert path.with_suffix(".corrupt").exists() and path.exists()
-        factory = sim._entry.generic(sim.module).factory
+        assert len(compiled) == 1, "only the damaged record is regenerated"
+        factory = bodies[sim._entry.empty].factory
         assert factory.__code__ in compiled[0].code.co_consts, "damaged step ran"
         assert compiled[0] in loaded
         if damage != "exec-fails":  # undecodable records never reach exec
-            assert len(loaded) == len(sim._entry.bodies) + 1
+            assert len(loaded) == len(bodies)
         assert outs == ref_outs and sim.source == ref.source
 
         again = _fresh_toolchain(tmp_path)
-        _codegen_run(again, "fsm", "swar", steps=20)
-        assert again.counter_snapshot().get("store_hit:codegen") == 1
+        again_sim, _ = _codegen_run(again, "fsm", "swar", steps=20)
+        counters = again.counter_snapshot()
+        assert counters.get("store_hit:fold") == len(again_sim._entry.bodies), counters
+        assert not [c for c in counters if c.startswith("store_miss:")], counters

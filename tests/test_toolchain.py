@@ -503,10 +503,10 @@ class TestCli:
         assert "gates" in proc.stdout
 
 
-@pytest.mark.parametrize("surface", ["toolchain", "fleet", "cli"])
+@pytest.mark.parametrize("surface", ["toolchain", "cli"])
 def test_unknown_batch_engine_names_the_valid_ones(surface, tmp_path, capsys):
-    """``batch`` is not an engine: Toolchain, FleetRunner and the CLI
-    all refuse it, and the error names every valid engine."""
+    """``batch`` is not an engine: the Toolchain and the CLI both
+    refuse it, and the error names every valid engine."""
     if surface == "cli":
         path = tmp_path / "tdma.sapper"
         path.write_text(samples.TDMA)
@@ -515,14 +515,9 @@ def test_unknown_batch_engine_names_the_valid_ones(surface, tmp_path, capsys):
         assert exc.value.code == 2
         message = capsys.readouterr().err
     else:
+        tc = Toolchain()
+        design = tc.compile(samples.TDMA, two_level(), name="no_batch")
         with pytest.raises(ValueError, match="unknown batch engine 'batch'") as exc:
-            if surface == "toolchain":
-                tc = Toolchain()
-                design = tc.compile(samples.TDMA, two_level(), name="no_batch")
-                tc.batch_simulator(design, 4, engine="batch")
-            else:
-                from repro.fleet import FleetRunner
-
-                FleetRunner(engine="batch")
+            tc.batch_simulator(design, 4, engine="batch")
         message = str(exc.value)
     assert all(engine in message for engine in BATCH_ENGINES), message

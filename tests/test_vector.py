@@ -16,7 +16,9 @@ Skips with a reason when NumPy is not importable -- the vector tier is
 an optional dependency; nothing here may silently pass without it.
 """
 
+import functools
 import re
+from unittest import mock
 
 import pytest
 
@@ -44,7 +46,7 @@ from repro.sapper.analysis import analyze
 from repro.sapper.compiler import compile_program
 from repro.sapper.crossval import assert_equivalent_suite, encode_inputs
 from repro.store import ArtifactStore
-from repro.toolchain import VECTOR_AUTO_LANES, Toolchain
+from repro.toolchain import VECTOR_AUTO_LANES, Toolchain, get_toolchain
 
 from tests import strategies
 from tests.test_batch_sim import (
@@ -512,15 +514,13 @@ class TestLaneCompaction:
             assert batch.step(inp) == want
             assert_lanes_match_scalars(module, batch, sims, cycle)
 
-    def test_retire_when_drives_run_compaction(self):
+    def test_explicit_compact_matches_uncompacted_twin(self):
         design = compile_program(samples.TDMA, two_level(), name="vec_ret")
         module = design.module
-        batch = VectorSimulator(
-            module, 3,
-            retire_when=lambda sim, lane: sim.active_lanes[lane] == 1
-            and sim.cycles >= 5,
-        )
-        outs = batch.run(10)
+        batch = VectorSimulator(module, 3)
+        batch.run(5)
+        assert batch.compact([1]) == [1]
+        outs = batch.run(5)
         assert batch.active_lanes == [0, 2]
         assert batch.lanes == 2 == len(outs)
         assert batch.compactions == 1 and batch.cycles == 10
@@ -670,16 +670,19 @@ class TestToolchainEngines:
             tc.batch_simulator(design, 4, engine="simd")
 
     def test_default_engine_is_auto(self):
-        """One default spelling on every front door: no engine means
-        ``engine="auto"``, which is vector at 64 lanes and may hand over
-        to SWAR; None is not an engine name."""
+        """One default spelling: no engine means ``engine="auto"``,
+        which is vector at 64 lanes and may hand over to SWAR; None is
+        not an engine name.  The library front doors built on
+        ``Toolchain.batch_simulator`` take no engine at all."""
         import inspect
 
         from repro.fleet import FleetRunner
         from repro.proc.machine import BatchedMachines, run_workloads
 
-        for api in (Toolchain.batch_simulator, BatchedMachines, run_workloads, FleetRunner):
-            assert inspect.signature(api).parameters["engine"].default == "auto", api
+        engine = inspect.signature(Toolchain.batch_simulator).parameters["engine"]
+        assert engine.default == "auto"
+        for api in (BatchedMachines, run_workloads, FleetRunner):
+            assert "engine" not in inspect.signature(api).parameters, api
         tc = Toolchain()
         design = tc.compile(samples.TDMA, two_level(), name="tc_default")
         default = tc.batch_simulator(design, VECTOR_AUTO_LANES)
@@ -833,7 +836,7 @@ class TestAutoHandover:
         assert type(sim) is BatchSimulator and sim.generic_steps == 0
         entries = batch_mod._BATCH_CACHE.get(sim.module)
         assert set(entries) == {"vector", "swar"}
-        assert all(entry._generic is None for entry in entries.values())
+        assert all(entry.empty not in entry.bodies for entry in entries.values())
 
     def test_processor_suite_matches_pinned_vector(self):
         """The six Sec. 4.3 programs on 66 processor lanes whose cycle
@@ -847,9 +850,13 @@ class TestAutoHandover:
         names = sorted(ALL_WORKLOADS)
         exes = [assemble(ALL_WORKLOADS[names[lane % 6]].source) for lane in range(66)]
         budgets = [400 + 2 * lane for lane in range(66)]
+        tc = get_toolchain()
         runs = {}
         for engine in ("auto", "vector"):
-            bm = BatchedMachines(exes, engine=engine, capture_state=True)
+            # the engine is pinned where every front door gets its batch
+            pinned = functools.partial(tc.batch_simulator, engine=engine)
+            with mock.patch.object(tc, "batch_simulator", pinned):
+                bm = BatchedMachines(exes, toolchain=tc, capture_state=True)
             runs[engine] = (bm.run(budgets), bm.sim)
         (auto, auto_sim), (vector, vector_sim) = runs["auto"], runs["vector"]
         assert type(auto_sim) is BatchSimulator and isinstance(vector_sim, VectorSimulator)
@@ -889,24 +896,38 @@ class TestAutoHandover:
             sim.step(stim[retire:])
         return sim, tc.counter_snapshot()
 
+    @staticmethod
+    def _bodies_by_engine(sim):
+        """Engine -> the combos its entry holds bodies for; each entry
+        must hold its generic step."""
+        entries = batch_mod._BATCH_CACHE.get(sim.module)
+        assert all(entry.empty in entry.bodies for entry in entries.values())
+        return {engine: set(entry.bodies) for engine, entry in entries.items()}
+
     def test_no_swar_entry_while_auto_stays_vector(self, tmp_path):
         retire = HANDOVER_LANES - VECTOR_AUTO_LANES
         sim, counters = self._store_run(tmp_path, HANDOVER_LANES, retire)
         assert isinstance(sim, VectorSimulator) and sim.lanes == VECTOR_AUTO_LANES
         assert counters.get("store_miss:layout") == 1, counters  # the vector entry only
-        assert counters.get("store_miss:codegen") == 1, counters
+        # every body written is the vector entry's, its generic step included
+        assert sim._entry.empty in sim._entry.bodies
+        assert counters.get("store_miss:fold") == len(sim._entry.bodies), counters
         assert "swar" not in batch_mod._BATCH_CACHE.get(sim.module)
 
     def test_warm_handover_reads_the_swar_entry_from_the_store(self, tmp_path):
         cold, counters = self._store_run(tmp_path, HANDOVER_LANES, 16)
         assert type(cold) is BatchSimulator
         assert counters.get("store_miss:layout") == 2, counters  # vector, then swar
-        assert counters.get("store_miss:codegen") == 2, counters
+        bodies = self._bodies_by_engine(cold)
+        assert counters.get("store_miss:fold") == sum(map(len, bodies.values())), counters
         with _codegen_calls() as calls:
             warm, counters = self._store_run(tmp_path, HANDOVER_LANES, 16)
         assert type(warm) is BatchSimulator
         assert calls == {"emit": 0, "compile": 0, "fold": 0}
-        assert counters.get("store_hit:layout") == counters.get("store_hit:codegen") == 2, counters
+        # both entries' generic steps, and every folded body, come from the store
+        assert self._bodies_by_engine(warm) == bodies
+        assert counters.get("store_hit:layout") == 2, counters
+        assert counters.get("store_hit:fold") == sum(map(len, bodies.values())), counters
         assert not [c for c in counters if c.startswith("store_miss:")], counters
         for lane in range(warm.lanes):
             assert warm.lane_regs(lane) == cold.lane_regs(lane)
