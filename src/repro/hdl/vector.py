@@ -22,15 +22,35 @@ Per-step fallback mirrors the SWAR tier's: any expression tree the
 vector lowering cannot express exactly (>64-bit values, sparse array
 read ports, non-canonical width mixes) drops to the bit-exact
 per-lane scalar loops, which read vector-resident state through
-hoisted ``.tolist()`` views.  Registers of 2..64 bits live as
-``uint64`` ndarrays in ``sregs``; lane compaction re-slices them with
-fancy indexing.
+hoisted ``.tolist()`` views.  Registers of 2..64 bits live in
+``sregs`` as wide values; lane compaction re-slices them with fancy
+indexing.
 
-Generated step code treats every stored ndarray as an **immutable
+A **wide value** -- a multi-bit register, a wide-tier signal, a 1-bit
+wide-tier flag -- is either a ``(lanes,)`` ``uint64``/``bool`` ndarray
+or, when every lane holds the same value, one 0-d NumPy scalar of the
+same dtype (``np.uint64``, ``np.bool_``).  NumPy's operators take both
+and run the same ``uint64`` loops on each, so one generated step is
+bit-identical on either; lockstep lanes that differ only in a few
+registers pay a scalar op (~50 ns) instead of a ufunc dispatch over
+identical copies (~0.5-0.9 us) everywhere else.  Uniform values enter
+at reset, at every register write-back (:func:`_cz`: one raw-bytes
+compare collapses an array whose lanes agree), at scalar-phase results
+(:func:`_cl`), and as the constant flags and the ``0``/``ONES`` packed
+words the flag shims unpack; they leave through the flag packers, the
+uniformity tags and the stacked gathers, which all take a scalar
+without touching NumPy.  A wide value is never a Python ``int`` or
+``bool`` (``~True == -2``, and an int operand changes NumPy's casting).
+Scalar ``uint64`` wraparound warns where array wraparound does not, so
+:meth:`VectorSimulator.step` silences overflow for the step alone.
+
+Generated step code treats every stored wide value as an **immutable
 value**: no in-place mutation, ever.  State mutation sites outside the
 step (``set_reg``, ``load_array``) copy before writing, so write-back
 aliasing (two registers latching the same signal's array) is harmless
-without defensive copies on the hot path.
+without defensive copies on the hot path.  The dense ``(lanes, size)``
+array mirrors (below) are the one exception: the step's write ports
+store into them in place, and they are never scalars.
 
 NumPy is an optional dependency: importing this module without it
 leaves :data:`HAVE_NUMPY` false, and :class:`VectorSimulator` raises a
@@ -90,14 +110,14 @@ def _vshl(a, k, w, m):
     """``(a << k) & m`` per lane, 0 where ``k >= w`` (scalar shl)."""
     ok = k < w
     ks = np.where(ok, k, 0)
-    return np.where(ok, (a << ks) & m, 0)
+    return np.where(ok, (a << ks) & m, 0)[()]
 
 
 def _vshr(a, k, w):
     """``a >> k`` per lane, 0 where ``k >= w`` (scalar shr)."""
     ok = k < w
     ks = np.where(ok, k, 0)
-    return np.where(ok, a >> ks, 0)
+    return np.where(ok, a >> ks, 0)[()]
 
 
 def _vasr(a, k, w, m):
@@ -110,13 +130,13 @@ def _vasr(a, k, w, m):
 def _vdiv(x, y, m):
     """``(x // y) & m`` per lane; all-ones where ``y == 0``."""
     z = y == 0
-    return np.where(z, m, (x // np.where(z, 1, y)) & m)
+    return np.where(z, m, (x // np.where(z, 1, y)) & m)[()]
 
 
 def _vmod(x, y):
     """``x % y`` per lane; the dividend where ``y == 0``."""
     z = y == 0
-    return np.where(z, x, x % np.where(z, 1, y))
+    return np.where(z, x, x % np.where(z, 1, y))[()]
 
 
 def _sv(x, w):
@@ -125,6 +145,23 @@ def _sv(x, w):
         return np.asarray(x).view(np.int64)
     s = np.int64(1 << (w - 1))
     return (np.asarray(x).astype(np.int64) ^ s) - s
+
+
+def _cz(x):
+    """The ``uint64`` wide value *x* as one ``np.uint64`` if every lane
+    holds the same value, else *x*; one raw-bytes compare decides it."""
+    if not x.shape:
+        return x
+    b = x.tobytes()
+    return x[0] if b == b[:8] * len(x) else x
+
+
+def _cl(values):
+    """A per-lane list of ints as a ``uint64`` wide value (see :func:`_cz`)."""
+    v = values[0]
+    if values.count(v) == len(values):
+        return np.uint64(v)
+    return np.array(values, np.uint64)
 
 
 # ------------------------------------------------------- classification
@@ -226,12 +263,13 @@ class _VectorCodeGen(_BatchCodeGen):
     """Emits the hybrid packed/vector/scalar batched step function.
 
     Subclasses the SWAR codegen and replaces exactly the wide tier: the
-    ``wval``/``dform`` emitters produce ufunc expressions over uint64 /
-    boolean lane arrays, flag conversion to and from the packed big-int
-    tag world goes through ``packbits``/``unpackbits`` shims, per-lane
-    scalar loops read vector values through hoisted ``.tolist()``
-    views, and the clock edge writes ndarrays (not slot-packed words)
-    into ``sregs``.  Scheduling, the packed world, the scalar world,
+    ``wval``/``dform`` emitters produce NumPy expressions over wide
+    values (uint64 / boolean lane arrays, or one scalar where the lanes
+    agree), flag conversion to and from the packed big-int tag world
+    goes through ``packbits``/``unpackbits`` shims, per-lane scalar
+    loops read vector values through hoisted ``.tolist()`` views, and
+    the clock edge writes wide values (not slot-packed words) into
+    ``sregs``.  Scheduling, the packed world, the scalar world,
     inlining, and dead-cone peeling are all inherited verbatim.
     """
 
@@ -248,6 +286,7 @@ class _VectorCodeGen(_BatchCodeGen):
         self._use_ubm = False
         self._used_R = False
         self._use_whr = False
+        self._use_gat = False
         self._ucache: dict[str, str] = {}
         super().__init__(module, pitch=pitch, resident=resident)
 
@@ -322,26 +361,33 @@ class _VectorCodeGen(_BatchCodeGen):
     # -- constant pool -------------------------------------------------------
 
     def _knp(self, value: int) -> str:
-        """A pooled ``np.uint64`` scalar (plain int literals are only
-        safe as the *second* operand of an array op; standalone values,
-        mux arms, and where() branches must carry the dtype)."""
+        """A pooled ``np.uint64`` scalar: the lane-uniform form of a
+        constant, used wherever a wide value is one (plain int literals
+        are only safe as the *second* operand of an op; standalone
+        values, mux arms, and gather rows must carry the dtype)."""
         return self._pooled(("vk", value), f"_K{len(self._pool)}", f"_U64({value})")
 
     def _kna(self, value: int) -> str:
-        """A pooled full ``(n,)`` constant array.  ``np.where`` with two
-        array arms is measurably cheaper than with a scalar arm (the
-        scalar is broadcast-wrapped on every call), so where() branches
-        pull constants from the pool; never mutated, like all stored
-        vectors."""
+        """A pooled full ``(n,)`` constant array, for ``np.where`` arms
+        only: a where() with two array arms is measurably cheaper than
+        with a scalar arm (the scalar is broadcast-wrapped on every
+        call), and a where() runs only when the selector's lanes
+        disagree, so its result is an array anyway.  Never mutated,
+        like all stored vectors."""
         return self._pooled(
             ("vka", value), f"_F{len(self._pool)}", f"_np.full(n, {value}, _U64)"
         )
 
-    def _btrue(self) -> str:
-        return self._pooled(("bt",), "_TRUE", "_np.ones(n, _np.bool_)")
-
-    def _bfalse(self) -> str:
-        return self._pooled(("bf",), "_FALSE", "_np.zeros(n, _np.bool_)")
+    def _varm(self, e: HExpr, code: str) -> str:
+        """*e*'s ``np.where`` arm form, given its wide-value *code*:
+        constants come from the full-array pools (see :meth:`_kna`)."""
+        if not isinstance(e, HConst):
+            return code
+        if code in ("_BT", "_BF"):  # a constant flag
+            return self._pooled(
+                ("bta", code), f"{code}A", f"_np.full(n, {code == '_BT'}, _np.bool_)"
+            )
+        return self._kna(e.value)
 
     # -- flag conversion shims ----------------------------------------------
 
@@ -355,7 +401,7 @@ class _VectorCodeGen(_BatchCodeGen):
 
     def dform(self, e: HExpr) -> str:
         if isinstance(e, HConst):
-            return self._btrue() if e.value else self._bfalse()
+            return "_BT" if e.value else "_BF"
         if isinstance(e, HRef):
             return self.dref(e.name)
         op = e.op
@@ -369,7 +415,7 @@ class _VectorCodeGen(_BatchCodeGen):
             return f"({self._dense_read(e)} != 0)"
         if op == "slice":  # extract one bit out of a wide vector value
             if e.lo >= e.args[0].width:
-                return self._bfalse()
+                return "_BF"
             arg = e.args[0]
             if (isinstance(arg, HOp) and arg.op == "mul"
                     and arg.width > VECTOR_MAX_WIDTH):
@@ -384,7 +430,7 @@ class _VectorCodeGen(_BatchCodeGen):
             if op == "asr":
                 return self.dform(e.args[0])
             if isinstance(e.args[1], HConst):
-                return self.dform(e.args[0]) if e.args[1].value == 0 else self._bfalse()
+                return self.dform(e.args[0]) if e.args[1].value == 0 else "_BF"
             k = self._as_local(self.wval(e.args[1]))
             return f"({self.dform(e.args[0])} & ({k} == 0))"
         if op == "mux" and not isinstance(e.args[0], HConst):
@@ -392,7 +438,8 @@ class _VectorCodeGen(_BatchCodeGen):
             if t == f:
                 return t
             return self._where(
-                e.args[0], self._as_local(self.dform(e.args[0])), t, f
+                e.args[0], self._as_local(self.dform(e.args[0])), t, f,
+                self._varm(e.args[1], t), self._varm(e.args[2], f),
             )
         a = [self.dform(c) for c in e.args]
         if op in ("and", "land"):
@@ -405,8 +452,8 @@ class _VectorCodeGen(_BatchCodeGen):
             return f"(~{a[0]})"
         if op in ("neg", "zext", "sext", "cat"):
             return a[0]
-        if op == "mux":
-            return f"_np.where({a[0]}, {a[1]}, {a[2]})"
+        if op == "mux":  # constant selector (a non-constant one is above)
+            return a[1] if e.args[0].value else a[2]
         raise ValueError(f"op {op!r} has no boolean-array form")  # pragma: no cover
 
     def _cmp_vec(self, e: HOp) -> str:
@@ -430,13 +477,6 @@ class _VectorCodeGen(_BatchCodeGen):
         if e.width == 1:
             return self._as_local(f"({self.dform(e)}).astype(_U64)")
         return self.wval(e)
-
-    def _varm(self, e: HExpr) -> str:
-        """*e* as a ``np.where`` arm: constants come from the full-array
-        pool instead of broadcasting a scalar per call."""
-        if isinstance(e, HConst):
-            return self._kna(e.value)
-        return self.vv(e)
 
     def _bsel(self, sel: HExpr) -> str | None:
         """Mux selector as a boolean array, or None for a constant."""
@@ -487,13 +527,15 @@ class _VectorCodeGen(_BatchCodeGen):
         if op == "mux":
             if isinstance(A[0], HConst):
                 return self.vv(A[1] if A[0].value else A[2])
-            t, f = self._varm(A[1]), self._varm(A[2])
+            t, f = self.vv(A[1]), self.vv(A[2])
             if t == f:
                 # write-enable networks emit one chain per register with
                 # almost every arm equal to the old value; the identical
                 # arms collapse bottom-up through the inlined links
                 return t
-            return self._where(A[0], self._bsel(A[0]), t, f)
+            return self._where(
+                A[0], self._bsel(A[0]), t, f, self._varm(A[1], t), self._varm(A[2], f)
+            )
         if op == "zext":
             return self.vv(A[0])
         if op == "sext":
@@ -502,7 +544,9 @@ class _VectorCodeGen(_BatchCodeGen):
                 s = self._bsel(A[0])
                 if s is None:  # pragma: no cover - folded upstream
                     return self._knp(m if A[0].value else 0)
-                return self._where(A[0], s, self._kna(m), self._kna(0))
+                return self._where(
+                    A[0], s, self._knp(m), self._knp(0), self._kna(m), self._kna(0)
+                )
             if wf == w:
                 return self.vv(A[0])
             if wf > w:
@@ -617,9 +661,10 @@ class _VectorCodeGen(_BatchCodeGen):
     # mux chains -- ``idx == 31 ? r31 : idx == 30 ? r30 : ... : 0`` --
     # which cost one np.where per arm.  When every selector in a chain
     # compares the *same* index expression against *distinct* constants,
-    # the chain is semantically a table lookup: stack the arms once and
-    # gather with one fancy index.  Chains sharing an arm set (two read
-    # ports of one register file) also share the stacked table, because
+    # the chain is semantically a table lookup: a uniform index picks its
+    # row, any other stacks the rows once and gathers with one fancy
+    # index.  Chains sharing an arm set (two read ports of one register
+    # file) also share the table and its stacked buffer, because
     # ``_as_local`` memoizes by emitted code.
 
     # -- uniformity-gated selects --------------------------------------------
@@ -631,23 +676,30 @@ class _VectorCodeGen(_BatchCodeGen):
     # select routes through ``_whr(u, d, t, f)`` where ``u`` is a 0 /
     # mixed / 2 uniformity tag computed once per selector per step --
     # from the selector's packed big-int form when one exists (two int
-    # compares, ~30ns) or from a raw-bytes compare of the boolean array
-    # (numpy bools are exactly 0/1 bytes, so ``tobytes`` against
-    # all-zeros / all-ones decides uniformity in ~90ns -- 15x cheaper
-    # than ``any``+``all`` reductions).  Mixed cohorts pay one extra
-    # integer compare per select; uniform ones skip the where.
+    # compares, ~30ns), free from a selector that already is one scalar,
+    # or from a raw-bytes compare of the boolean array (numpy bools are
+    # exactly 0/1 bytes, so ``tobytes`` against all-zeros / all-ones
+    # decides uniformity in ~90ns -- 15x cheaper than ``any``+``all``
+    # reductions).  Mixed cohorts pay one extra integer compare per
+    # select; uniform ones skip the where and take the lane-uniform
+    # (scalar) form of a constant arm, so the result stays a scalar.
 
     _LAZY_LEN = 1200
 
-    def _where(self, sel: HExpr, scode: str, t: str, f: str) -> str:
+    def _where(
+        self, sel: HExpr, scode: str, t: str, f: str, tw: str, fw: str
+    ) -> str:
+        """Select *t*/*f* by the flag *sel* (code *scode*); *tw*/*fw* are
+        the same arms in :meth:`_varm` form, for the ``np.where`` that
+        runs only when the lanes disagree on *sel*."""
         u = self._uniform_tag(sel, scode)
-        if u is None:
-            return f"_np.where({scode}, {t}, {f})"
+        if u is None:  # pragma: no cover - sites _as_local their selector
+            return f"_np.where({scode}, {tw}, {fw})"
         if len(t) + len(f) <= self._LAZY_LEN:
             # conditional expression: the untaken arm's inline cone is
             # never evaluated; arm code is duplicated, so cap the size
             return (f"({t} if {u} == 2 else {f} if {u} == 0"
-                    f" else _np.where({scode}, {t}, {f}))")
+                    f" else _np.where({scode}, {tw}, {fw}))")
         # long arms become thunks: code appears once (no exponential
         # growth through nested chains) and a gated-out cone -- a whole
         # load-aligner or FPU path with no lane on it -- is skipped
@@ -824,28 +876,30 @@ class _VectorCodeGen(_BatchCodeGen):
             and len({self._expr_key(a) for _, a, _ in kept}) >= self._GATHER_MIN
         )
         if use_gather:
+            # the table is the rows plus a slot for their stacked buffer
+            # (see _gat in _render), one per step and shared by every
+            # port that reads it
             rows_by_val = {v: arm for _, arm, v in kept}
-            default = cur.value
-            rows = []
-            for v in range(size):
-                arm = rows_by_val.get(v)
-                if arm is None or isinstance(arm, HConst):
-                    rows.append(self._kna(default if arm is None else arm.value))
-                else:
-                    rows.append(self.vv(arm))
-            stk = self._as_local("_np.stack((" + ", ".join(rows) + "))")
-            self._used_R = True
-            code = f"{stk}[{self.vv(idx0)}, _R]"
+            rows = [
+                self._knp(cur.value) if v not in rows_by_val else self.vv(rows_by_val[v])
+                for v in range(size)
+            ]
+            tab = self._as_local("[" + ", ".join(rows) + ", None]")
+            self._used_R = self._use_gat = True
+            code = codew = f"_gat({tab}, {self.vv(idx0)})"
         else:
             if len(kept) == len(suffix):
                 return None  # nothing dropped: the plain emitters do as well
-            code = self._varm(cur)
+            code = self.vv(cur)
+            codew = self._varm(cur, code)
             for sel, arm, _ in reversed(kept):
                 s = self._as_local(self.dform(sel))
-                code = self._where(sel, s, self._varm(arm), code)
+                t = self.vv(arm)
+                code = codew = self._where(sel, s, t, code, self._varm(arm, t), codew)
         for sel, arm in reversed(arms[:start]):
             s = self._as_local(self.dform(sel))
-            code = self._where(sel, s, self._varm(arm), code)
+            t = self.vv(arm)
+            code = codew = self._where(sel, s, t, code, self._varm(arm, t), codew)
         return code
 
     # -- wide phase: batched flag packing ------------------------------------
@@ -940,7 +994,7 @@ class _VectorCodeGen(_BatchCodeGen):
 
     def _splice_xl(self, mark: int) -> None:
         lines = [
-            f"        xl_{nm} = _bk(s_{nm}).tolist()"
+            f"        xl_{nm} = _xl(s_{nm})"
             for nm in sorted(self._xl_needed)
         ]
         self._L[mark:mark] = lines
@@ -967,7 +1021,7 @@ class _VectorCodeGen(_BatchCodeGen):
     def _scalar_phase_post(self, sigs: list[str]) -> None:
         for s in sigs:
             if s in self.sform_comb:
-                self._emit(f"s_{s} = _np.array(sb_{s}, _U64)")
+                self._emit(f"s_{s} = _cl(sb_{s})")
 
     def _emit_input_marshal(self) -> None:
         m = self.module
@@ -989,14 +1043,13 @@ class _VectorCodeGen(_BatchCodeGen):
         for stmt in in_stmts:
             self._emit_lane(stmt)
         for nm in sorted(self.sform_inputs):
-            self._emit(f"s_{nm} = _np.array(wi_{nm}, _U64)")
+            self._emit(f"s_{nm} = _cl(wi_{nm})")
 
     # -- clock edge ---------------------------------------------------------
 
     def _emit_res_pack(self, reg: str, sig: str) -> None:
-        # _bk guards the (constant-folded) corner where the next value
-        # collapsed to one np scalar for every lane
-        self._emit(f"sregs[{reg!r}] = _bk(s_{sig})")
+        # a next value whose lanes all agree is stored as one scalar
+        self._emit(f"sregs[{reg!r}] = _cz(s_{sig})")
 
     def _res_lane_init(self, reg: str) -> None:
         self._emit(f"ns_{reg} = []")
@@ -1005,7 +1058,7 @@ class _VectorCodeGen(_BatchCodeGen):
         return f"ns_{reg}.append({self.ref(sig)})"
 
     def _res_lane_commit(self, reg: str) -> None:
-        self._emit(f"sregs[{reg!r}] = _np.array(ns_{reg}, _U64)")
+        self._emit(f"sregs[{reg!r}] = _cl(ns_{reg})")
 
     # -- rendering ----------------------------------------------------------
 
@@ -1017,46 +1070,67 @@ class _VectorCodeGen(_BatchCodeGen):
             "    ONES = (1 << n) - 1",
             "    _nb = (n + 7) >> 3",
             "    _U64 = _np.uint64",
-            "    def _bk(x):",
-            "        return x if getattr(x, 'shape', None) else _np.full(n, x)",
+            "    _BT, _BF = _np.True_, _np.False_",
+            "    def _xl(x):",
+            "        return x.tolist() if x.shape else [x.tolist()] * n",
             "    def _ub(w):",
+            "        if w == 0:",
+            "            return _BF",
+            "        if w == ONES:",
+            "            return _BT",
             "        return _np.unpackbits(_np.frombuffer(w.to_bytes(_nb,"
             " 'little'), _np.uint8), count=n, bitorder='little')"
             ".view(_np.bool_)",
             "    def _pb(v):",
-            "        return int.from_bytes(_np.packbits(_bk(v),"
+            "        if not v.shape:",
+            "            return ONES if v else 0",
+            "        return int.from_bytes(_np.packbits(v,"
             " bitorder='little').tobytes(), 'little')",
         ]
         if self._pbm_max:
-            # flag rows land in one preallocated buffer (reused every
-            # step, consumed before return -- nothing aliases it), so
-            # one packbits compresses a whole phase's flags without the
-            # per-row ndarray overhead of np.stack
+            # uniform flags pack to ONES / 0 directly; the array rows
+            # land in one preallocated buffer (reused every step,
+            # consumed before return -- nothing aliases it), so one
+            # packbits compresses them without the per-row ndarray
+            # overhead of np.stack
             header += [
                 f"    _PBB = _np.empty(({self._pbm_max}, n), _np.bool_)",
                 "    def _pbm(vs):",
-                "        _k = len(vs)",
-                "        _B = _PBB[:_k]",
-                "        for _i in range(_k):",
-                "            _B[_i] = vs[_i]",
-                "        _b = _np.packbits(_B, axis=1,"
+                "        _r = [None if _v.shape else (ONES if _v else 0) for _v in vs]",
+                "        _ix = [_i for _i, _x in enumerate(_r) if _x is None]",
+                "        if _ix:",
+                "            _B = _PBB[:len(_ix)]",
+                "            for _j, _i in enumerate(_ix):",
+                "                _B[_j] = vs[_i]",
+                "            _b = _np.packbits(_B, axis=1,"
                 " bitorder='little').tobytes()",
-                "        return [int.from_bytes(_b[_i * _nb:_i * _nb + _nb],"
-                " 'little') for _i in range(_k)]",
+                "            for _j, _i in enumerate(_ix):",
+                "                _r[_i] = int.from_bytes(_b[_j * _nb:_j * _nb + _nb],"
+                " 'little')",
+                "        return _r",
             ]
         if self._use_ubm:
             header += [
                 "    def _ubm(ws):",
-                "        _b = _np.frombuffer(b''.join(_w.to_bytes(_nb,"
-                " 'little') for _w in ws), _np.uint8)",
-                "        return list(_np.unpackbits(_b, bitorder='little')"
-                ".view(_np.bool_).reshape(len(ws), _nb * 8)[:, :n])",
+                "        _r = [_BF if _w == 0 else _BT if _w == ONES else None"
+                " for _w in ws]",
+                "        _ix = [_i for _i, _x in enumerate(_r) if _x is None]",
+                "        if _ix:",
+                "            _b = _np.frombuffer(b''.join(ws[_i].to_bytes(_nb,"
+                " 'little') for _i in _ix), _np.uint8)",
+                "            _u = _np.unpackbits(_b, bitorder='little')"
+                ".view(_np.bool_).reshape(len(_ix), _nb * 8)[:, :n]",
+                "            for _j, _i in enumerate(_ix):",
+                "                _r[_i] = _u[_j]",
+                "        return _r",
             ]
         if self._use_whr:
             header += [
                 "    _ZB = bytes(n)",
                 "    _OB = b'\\x01' * n",
                 "    def _ut(d):",
+                "        if not d.shape:",
+                "            return 2 if d else 0",
                 "        _b = d.tobytes()",
                 "        return 0 if _b == _ZB else (2 if _b == _OB else 1)",
                 "    def _whl(u, d, t, f):",
@@ -1068,6 +1142,25 @@ class _VectorCodeGen(_BatchCodeGen):
             ]
         if self._dense_loads or self._used_R:
             header.append("    _R = _np.arange(n)")
+        if self._use_gat:
+            # a register-file style table lookup: a uniform index picks
+            # its row; an index the lanes disagree on stacks the rows
+            # into the table's (rows, lanes) buffer by row assignment
+            # (scalars broadcast there; once per step, however many
+            # ports read the table) and fancy-indexes it.  np.choose
+            # cannot: it takes at most 64 arrays, the index included.
+            header += [
+                "    def _gat(t, i):",
+                "        if not i.shape:",
+                "            return t[i]",
+                "        _B = t[-1]",
+                "        if _B is None:",
+                "            _k = len(t) - 1",
+                "            _B = t[-1] = _np.empty((_k, n), _U64)",
+                "            for _r in range(_k):",
+                "                _B[_r] = t[_r]",
+                "        return _B[i, _R]",
+            ]
         header += self._pool_lines
         header += [f"    {b}_buf = [0] * n" for b in self._bufs]
         params = "".join(f", {b}={b}_buf" for b in self._bufs)
@@ -1101,6 +1194,8 @@ class _VectorEntry(_BatchEntry):
             "_vdiv": _vdiv,
             "_vmod": _vmod,
             "_sv": _sv,
+            "_cz": _cz,
+            "_cl": _cl,
         }
 
 
@@ -1117,16 +1212,19 @@ class VectorSimulator(BatchSimulator):
     Drop-in for :class:`~repro.hdl.batch.BatchSimulator` -- same
     constructor, same step/compact/uniform machinery, same
     bit-identical-per-lane contract -- with every multi-bit resident
-    register held as a ``(lanes,)`` uint64 ndarray and the wide
-    combinational tier lowered to ufunc expressions.  The packed 1-bit
-    tag world and the per-lane scalar fallback are shared with the
-    base engine.  One built by ``Toolchain.batch_simulator(...,
+    register held as a wide value in ``sregs``: one ``np.uint64``
+    scalar while every lane holds the same value (from reset on), a
+    ``(lanes,)`` uint64 ndarray once they differ, and a scalar again
+    on the first write-back whose lanes agree.  The wide combinational
+    tier is lowered to ufunc expressions over either form.  The packed
+    1-bit tag world and the per-lane scalar fallback are shared with
+    the base engine.  One built by ``Toolchain.batch_simulator(...,
     engine="auto")`` becomes a SWAR :class:`BatchSimulator` in place
     once compaction leaves it fewer lanes than ``VECTOR_AUTO_LANES``
     (:meth:`_retarget`).
 
-    Stored ndarrays are treated as immutable values; all mutation
-    sites (:meth:`set_reg`, :meth:`load_array`) copy before writing.
+    Stored wide values are treated as immutable; all mutation sites
+    (:meth:`set_reg`, :meth:`load_array`) copy before writing.
     """
 
     def __init__(self, module: Module, lanes: int, **kwargs):
@@ -1165,29 +1263,39 @@ class VectorSimulator(BatchSimulator):
     def _refresh_layout(self) -> None:
         self._layout = None  # no slot layout: lanes are the array axis
 
+    def step(self, inputs=None) -> list[dict[str, int]]:
+        # scalar uint64 ops warn on the wraparound the lowering relies on
+        # (array ops do not); a fresh errstate per call scopes the
+        # silencing to this step.  Named, not super(): a method bound
+        # before a handover (_retarget) still steps the SWAR batch.
+        with np.errstate(over="ignore"):
+            return BatchSimulator.step(self, inputs)
+
     def _sreg_new(self, reg):
-        mask = (1 << reg.width) - 1
-        return np.full(self.lanes, reg.init & mask, np.uint64)
+        return np.uint64(reg.init & ((1 << reg.width) - 1))
 
     def _sreg_get(self, name: str, lane: int, width: int) -> int:
-        return int(self.sregs[name][lane])
+        v = self.sregs[name]
+        return int(v[lane] if v.shape else v)
 
     def _sreg_set(self, name: str, lane: int, width: int, value: int) -> None:
-        arr = self.sregs[name].copy()  # stored arrays are immutable values
+        v = self.sregs[name]
+        # stored wide values are immutable: write into a fresh array
+        arr = v.copy() if v.shape else np.full(self.lanes, v)
         arr[lane] = value
-        self.sregs[name] = arr
+        self.sregs[name] = _cz(arr)
 
     def _compact_sregs(self, keep) -> None:
         idx = np.array(keep, np.intp)
-        for name, arr in self.sregs.items():
-            self.sregs[name] = arr[idx]
+        for name, v in self.sregs.items():
+            if v.ndim == 2:  # an "a:" dense array mirror
+                self.sregs[name] = v[idx]
+            elif v.shape:
+                self.sregs[name] = _cz(v[idx])
 
     def _sreg_uniform(self, name: str, mask: int) -> int | None:
-        arr = self.sregs[name]
-        v0 = arr[0]
-        if (arr == v0).all():
-            return int(v0)
-        return None
+        v = _cz(self.sregs[name])
+        return None if v.shape else int(v)
 
     def _retarget(self, entry: _BatchEntry) -> None:
         """Hand the batch to the SWAR engine in place (see
@@ -1198,7 +1306,8 @@ class VectorSimulator(BatchSimulator):
         dropped (the per-lane dicts are canonical); 1-bit registers and
         arrays already share one layout."""
         wide = {
-            name: self.sregs[name].tolist() if name in self.sregs else self.wregs[name]
+            name: np.broadcast_to(self.sregs[name], self.lanes).tolist()
+            if name in self.sregs else self.wregs[name]
             for name, reg in self.module.regs.items()
             if reg.width > 1
         }

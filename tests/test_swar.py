@@ -199,12 +199,22 @@ def boundary_lanes(module: Module) -> list[dict[str, int]]:
 
 def state_matches(sim: BatchSimulator, reg: str, values: list[int], width: int) -> bool:
     """*reg*'s packed state is exactly *values*; for SWAR that means a
-    canonical slot word, nothing set in any guard band."""
+    canonical slot word, nothing set in any guard band.  A vector wide
+    value is a ``(lanes,)`` uint64 ndarray or one ``np.uint64`` scalar
+    for lanes that all agree, never a Python int."""
     if width == 1:
         return sim.pregs[reg] == sum(v << lane for lane, v in enumerate(values))
     if type(sim) is BatchSimulator:
         return sim.sregs[reg] == get_layout(sim.pitch, len(values)).pack(values, width)
-    return sim.sregs[reg].tolist() == values
+    import numpy as np
+
+    v = sim.sregs[reg]
+    if type(v) is np.ndarray:
+        if v.dtype != np.uint64 or v.shape != (len(values),):
+            return False
+    elif type(v) is not np.uint64:
+        return False
+    return np.broadcast_to(v, len(values)).tolist() == values
 
 
 def scalar_outputs(module: Module, lane_inputs: list[dict[str, int]]) -> list[dict[str, int]]:

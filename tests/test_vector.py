@@ -199,9 +199,14 @@ class TestVectorTier:
             f"{[n for n, k in tiers.items() if k == 's']}"
         )
         assert "v" in tiers.values(), "vector tier unused on a wide datapath"
-        # no slot packing: multi-bit registers live as (lanes,) ndarrays
-        assert isinstance(batch.sregs["sum"], np.ndarray)
-        assert batch.sregs["sum"].dtype == np.uint64
+        # no slot packing: a multi-bit register is one np.uint64 while
+        # the lanes agree (from reset on) and a (lanes,) uint64 ndarray
+        # once they differ
+        assert type(batch.sregs["sum"]) is np.uint64
+        for _ in range(2):
+            batch.step([{"x": lane} for lane in range(4)])
+        got = batch.sregs["sum"]
+        assert type(got) is np.ndarray and got.dtype == np.uint64 and got.shape == (4,)
 
     VARSHIFT = """
     reg[15:0] v; input[3:0] k;
@@ -722,11 +727,16 @@ class TestToolchainEngines:
 
 
 STAGGERED = """
-mem[7:0] buf[16]; reg[7:0] cnt; reg[15:0] sum; reg[39:0] wide;
+mem[7:0] buf[16]; reg[7:0] cnt; reg[15:0] sum; reg[39:0] wide; reg[15:0] ticks;
 input[7:0] k; input[7:0] h : H; output halted : L; output[15:0] v;
 state top : L = {
-    let state warm = { cnt := cnt + 1; if (cnt > 2) { goto run; } else { goto warm; } } in
+    let state warm = {
+        ticks := ticks + 1;
+        cnt := cnt + 1;
+        if (cnt > 2) { goto run; } else { goto warm; }
+    } in
     let state run = {
+        ticks := ticks + 1;
         cnt := cnt + k;
         buf[cnt[3:0]] := cnt;
         sum := sum + buf[k[3:0]];
@@ -734,7 +744,7 @@ state top : L = {
         v := sum;
         if (cnt > 200) { goto done; } else { goto run; }
     } in
-    let state done = { halted := 1; goto done; } in
+    let state done = { ticks := ticks + 1; halted := 1; goto done; } in
     fall;
 }
 """
@@ -931,6 +941,193 @@ class TestAutoHandover:
         assert not [c for c in counters if c.startswith("store_miss:")], counters
         for lane in range(warm.lanes):
             assert warm.lane_regs(lane) == cold.lane_regs(lane)
+
+
+def _pinned_vector_toolchain():
+    """The process toolchain with every batch pinned to the vector engine."""
+    tc = get_toolchain()
+    return tc, mock.patch.object(
+        tc, "batch_simulator", functools.partial(tc.batch_simulator, engine="vector")
+    )
+
+
+class TestLaneUniform:
+    """A wide value every lane agrees on is carried as one NumPy scalar
+    (``np.uint64`` / ``np.bool_``), and an array otherwise: the step,
+    ``set_reg``, compaction, the SWAR handover and the stacked gathers
+    take either form and stay bit-identical per lane."""
+
+    #: processor registers a lockstep batch must hold as one scalar
+    CONTROL = ("pc", "d_ir", "e_ir", "m_ir", "w_ir")
+
+    def test_lockstep_processor_holds_control_as_scalars(self):
+        """The Sec. 4.4 kernel on 8 lanes with distinct H data runs 300
+        cycles into the Pipeline state: the pipeline's control registers
+        are scalars, and every lane equals its scalar twin."""
+        import warnings
+
+        from repro.kernel import build_kernel_image
+        from repro.proc.machine import BatchedMachines
+
+        tc, pinned = _pinned_vector_toolchain()
+        with pinned:
+            bm = BatchedMachines(
+                [build_kernel_image(h).executable for h in range(1, 9)],
+                compact=False, toolchain=tc,
+            )
+        sim = bm.sim
+        module = sim.module
+        assert isinstance(sim, VectorSimulator)
+        scalars = [Simulator(module, optimize=False) for _ in range(sim.lanes)]
+        for lane, scalar in enumerate(scalars):
+            for name in module.arrays:
+                scalar.arrays[name] = dict(sim.arrays[name][lane])
+        # the Pipeline state is Slave's child, Slave the root's
+        code, fall = bm.design.state_code, bm.design.fall_reg
+        in_pipeline = {(code["Slave"], code["Pipeline"])}
+        pipeline = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no scalar wraparound may warn
+            while pipeline < 300:
+                pipeline += in_pipeline == {
+                    (sim.get_reg(lane, fall["_root"]), sim.get_reg(lane, fall["Slave"]))
+                    for lane in range(sim.lanes)
+                }
+                outs = sim.step()
+                assert outs == [s.step({}) for s in scalars], sim.cycles
+        for name in self.CONTROL:
+            assert type(sim.sregs[name]) is np.uint64, name
+        assert_lanes_match_scalars(module, sim, scalars, sim.cycles)
+        assert_dense_mirrors_match(sim)
+
+    def test_set_reg_splits_and_collapses(self):
+        design = compile_program(TestVectorTier.ADDER, two_level(), name="vec_uniform_set")
+        batch = VectorSimulator(design.module, 4)
+        before = batch.sregs["a"]
+        assert type(before) is np.uint64
+        batch.set_reg(2, "a", 77)
+        split = batch.sregs["a"]
+        assert type(split) is np.ndarray and split.dtype == np.uint64
+        assert split.tolist() == [0, 0, 77, 0] and before == 0  # nothing written in place
+        batch.set_reg(1, "a", 5)  # copy before write: split stays as it was
+        assert batch.sregs["a"].tolist() == [0, 5, 77, 0]
+        assert split.tolist() == [0, 0, 77, 0]
+        batch.set_reg(1, "a", 0)
+        assert type(batch.sregs["a"]) is np.ndarray
+        batch.set_reg(2, "a", 0)
+        assert type(batch.sregs["a"]) is np.uint64 and batch.sregs["a"] == 0
+        # the step's write-back splits and collapses too: r latches x,
+        # which differs per lane for one step and then agrees again
+        design = compile_program(self.LATCH, two_level(), name="vec_uniform_latch")
+        batch = VectorSimulator(design.module, 4)
+        sims = [Simulator(design.module) for _ in range(4)]
+        for cycle, (inputs, kind) in enumerate((
+            ([{"x": 3 * lane} for lane in range(4)], np.ndarray),
+            ([{"x": 7}] * 4, np.uint64),
+        )):
+            assert batch.step(inputs) == [s.step(i) for s, i in zip(sims, inputs)]
+            assert_lanes_match_scalars(design.module, batch, sims, cycle)
+            assert type(batch.sregs["r"]) is kind, cycle
+
+    LATCH = """
+    reg[7:0] r; input[7:0] x;
+    state s : L = { r := x; goto s; }
+    """
+
+    def test_compaction_and_handover_start_from_scalars(self):
+        """:data:`STAGGERED`'s ``ticks`` counts every cycle on every
+        lane, so it is a scalar whenever the auto batch compacts --
+        before and at its handover to SWAR -- and every lane still
+        equals the pinned SWAR run and a scalar run."""
+        tc = Toolchain()
+        design = tc.compile(STAGGERED, two_level(), name="staggered_uniform")
+        stim = _staggered_stimulus()
+        runs = {}
+        for engine in ("auto", "swar"):
+            sim = tc.batch_simulator(design, HANDOVER_LANES, engine=engine)
+            seen = []
+            real_compact = sim.compact
+
+            def compact(retired, sim=sim, seen=seen, real_compact=real_compact):
+                if isinstance(sim, VectorSimulator):
+                    seen.append((type(sim.sregs["ticks"]), type(sim.sregs["wide"])))
+                return real_compact(retired)
+
+            sim.compact = compact
+            runs[engine] = _run_staggered(sim, design, list(stim))[0], seen, sim
+        final, seen, auto = runs["auto"]
+        assert type(auto) is BatchSimulator  # handed over
+        assert seen and set(seen) == {(np.uint64, np.ndarray)}
+        assert final == runs["swar"][0]
+        module = auto.module
+        for lane, (cycles, out, regs, arrays, _) in final.items():
+            scalar = Simulator(module, optimize=False)
+            for _ in range(cycles):
+                want = scalar.step(stim[lane])
+            assert (out, regs) == (want, dict(scalar.regs)), lane
+            assert arrays == {name: dict(a) for name, a in scalar.arrays.items()}, lane
+
+    @staticmethod
+    def _regfile_module():
+        """``out = idx == 0 ? r0 : idx == 1 ? r1 : ... : 0`` over 16
+        registers: a priority chain the vector lowering turns into one
+        stacked gather."""
+        m = Module("regfile")
+        idx = m.add_input("idx", 4)
+        chain = HConst(0, 8)
+        for k in reversed(range(16)):
+            m.add_reg(f"r{k}", 8)
+            m.set_reg_next(f"r{k}", HRef(f"r{k}", 8))
+            sel = HOp("eq", (idx, HConst(k, 4)), 1)
+            chain = HOp("mux", (sel, HRef(f"r{k}", 8), chain), 8)
+        m.assign("rd", chain)
+        m.add_reg("acc", 8)
+        m.assign("nx_acc", HOp("add", (HRef("acc", 8), HRef("rd", 8)), 8))
+        m.set_reg_next("acc", HRef("nx_acc", 8))
+        m.set_output("o", HRef("rd", 8))
+        m.validate()
+        return m
+
+    def test_gather_on_divergent_index_mixes_scalar_and_array_rows(self):
+        m = self._regfile_module()
+        batch = VectorSimulator(m, 6, optimize=False)
+        assert "_gat(" in batch.source
+        for k in range(16):
+            if k % 2:  # odd rows differ per lane, even rows stay uniform
+                for lane in range(batch.lanes):
+                    batch.set_reg(lane, f"r{k}", 16 * k + lane)
+            else:
+                for lane in range(batch.lanes):
+                    batch.set_reg(lane, f"r{k}", 3 * k + 1)
+        kinds = {type(batch.sregs[f"r{k}"]) for k in range(16)}
+        assert kinds == {np.uint64, np.ndarray}
+        lockstep_raw(
+            m, batch,
+            # divergent indexes, then one uniform index every third cycle
+            lambda lane, cycle: {"idx": (cycle if cycle % 3 == 0 else cycle + 5 * lane) % 16},
+            cycles=24,
+        )
+
+    def test_vector_processor_batch_leaks_no_warning(self):
+        """Diverged processor lanes mix scalar and array values in one
+        step; neither form may warn (scalar uint64 wraparound would)."""
+        import warnings
+
+        from repro.mips.assembler import assemble
+        from repro.proc.machine import BatchedMachines
+        from repro.workloads import ALL_WORKLOADS
+
+        names = sorted(ALL_WORKLOADS)
+        tc, pinned = _pinned_vector_toolchain()
+        with pinned:
+            bm = BatchedMachines(
+                [assemble(ALL_WORKLOADS[names[lane % 6]].source) for lane in range(8)],
+                toolchain=tc,
+            )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bm.run(700)  # ~400 cycles past boot, in the Pipeline state
+        assert isinstance(bm.sim, VectorSimulator) and bm.sim.cycles == 700
 
 
 class TestCliEngineSelection:
