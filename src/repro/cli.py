@@ -81,9 +81,9 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="simulation engine: 'scalar' (one Simulator per "
                           "run, --lanes 1 only), 'swar' (lane-packed tags "
                           "+ guard-banded wide-word lane packing), 'vector' "
-                          "(NumPy uint64 lane arrays; needs numpy), or "
+                          "(NumPy uint64 lane arrays; needs numpy>=2), or "
                           "'auto' (scalar at 1 lane, swar for small "
-                          "batches, vector from 64 lanes when numpy is "
+                          "batches, vector from 64 lanes when numpy>=2 is "
                           "available; default)")
     sim.add_argument("--compact", action=argparse.BooleanOptionalAction, default=True,
                      help="retire lanes whose 'halted' output fires and repack "

@@ -52,9 +52,14 @@ without defensive copies on the hot path.  The dense ``(lanes, size)``
 array mirrors (below) are the one exception: the step's write ports
 store into them in place, and they are never scalars.
 
-NumPy is an optional dependency: importing this module without it
-leaves :data:`HAVE_NUMPY` false, and :class:`VectorSimulator` raises a
-clear, actionable error instead of an ImportError traceback.
+NumPy is an optional dependency, and the engine needs NumPy 2 or
+later: it relies on NEP 50 casting, under which a Python ``int``
+operand keeps a ``np.uint64`` scalar ``uint64`` (NumPy 1.x makes
+``np.uint64(x) + 1`` a float64 and raises on ``np.uint64(x) & 255``).
+Importing this module without NumPy, or with an older one, leaves
+:data:`HAVE_NUMPY` false, so ``engine="auto"`` picks SWAR and
+:class:`VectorSimulator` raises a clear, actionable error instead of
+an ImportError traceback or wrong values.
 """
 
 from __future__ import annotations
@@ -76,11 +81,16 @@ from repro.hdl.sim import nests_within
 
 try:
     import numpy as np
-
-    HAVE_NUMPY = True
 except ImportError:  # pragma: no cover - exercised via the gating tests
     np = None
-    HAVE_NUMPY = False
+
+
+def _numpy_supported(version: str) -> bool:
+    """True for a NumPy *version* string with NEP 50 casting (2.0 on)."""
+    return int(version.split(".")[0]) >= 2
+
+
+HAVE_NUMPY = np is not None and _numpy_supported(np.__version__)
 
 #: Widest value the uint64 lowering can hold exactly.
 VECTOR_MAX_WIDTH = 64
@@ -93,8 +103,8 @@ VECTOR_MAX_WIDTH = 64
 DENSE_MAX = 4096
 
 _NUMPY_HINT = (
-    "the vector engine needs NumPy, which is not installed; "
-    "install it (pip install numpy) or pick the swar engine"
+    "the vector engine needs NumPy, version 2 or later, which is not "
+    "installed; install it (pip install 'numpy>=2') or pick the swar engine"
 )
 
 

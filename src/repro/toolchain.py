@@ -91,8 +91,8 @@ def check_engine(engine: str) -> None:
 
 def auto_engine(lanes: int) -> str:
     """The batched engine automatic selection picks for *lanes* lanes:
-    ``"vector"`` from :data:`VECTOR_AUTO_LANES` up when NumPy is
-    importable, ``"swar"`` otherwise.  An ``engine="auto"`` batch asks
+    ``"vector"`` from :data:`VECTOR_AUTO_LANES` up when NumPy 2 or
+    later is importable, ``"swar"`` otherwise.  An ``engine="auto"`` batch asks
     again after every compaction, with its live lane count.  Every
     engine is bit-identical per lane, so this is purely a throughput
     choice."""
@@ -482,9 +482,9 @@ class Toolchain:
 
         *engine* names one of :data:`BATCH_ENGINES`: ``"swar"``
         (guard-banded wide-word lane packing) or ``"vector"`` (NumPy
-        uint64 lane arrays; needs NumPy); ``"auto"``, the default,
+        uint64 lane arrays; needs NumPy 2); ``"auto"``, the default,
         defers to :func:`auto_engine` (vector from
-        :data:`VECTOR_AUTO_LANES` lanes when NumPy is importable, swar
+        :data:`VECTOR_AUTO_LANES` lanes when NumPy 2 is importable, swar
         below) for the whole run: an auto vector batch that compaction
         leaves with fewer lanes continues on swar, as the same object
         (see :meth:`BatchSimulator.compact`; the swar entry is built

@@ -454,7 +454,7 @@ class TestTrackerPrune:
         ]
 
     def test_tracker_matches_shadow_on_every_tier(self):
-        pytest.importorskip("numpy")
+        pytest.importorskip("numpy", minversion="2")
         from repro.hdl import VectorSimulator
 
         design = compile_source(samples.TDMA, name="tdma")

@@ -45,7 +45,7 @@ def _cli_inputs(inputs: dict) -> list[str]:
 def test_server_cli_and_command_agree(case, tmp_path, capsys):
     source, name, lanes, inputs, engine = CASES[case]
     if engine == "vector":
-        pytest.importorskip("numpy")
+        pytest.importorskip("numpy", minversion="2")
     req = commands.SimulateRequest(source, name=name, cycles=50, lanes=lanes, inputs=inputs)
     assert req.resolved_engine == engine
     expected = dataclasses.asdict(commands.simulate(Toolchain(), req))

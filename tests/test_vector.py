@@ -22,7 +22,7 @@ from unittest import mock
 
 import pytest
 
-np = pytest.importorskip("numpy", reason="the vector engine needs NumPy")
+np = pytest.importorskip("numpy", minversion="2", reason="the vector engine needs NumPy 2")
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -39,7 +39,7 @@ from repro.hdl import (
     VectorSimulator,
 )
 from repro.hdl import batch as batch_mod, vector as vector_mod
-from repro.hdl.vector import VECTOR_MAX_WIDTH, _NUMPY_HINT
+from repro.hdl.vector import VECTOR_MAX_WIDTH, _NUMPY_HINT, _numpy_supported
 from repro.lattice import two_level
 from repro.sapper import samples
 from repro.sapper.analysis import analyze
@@ -659,7 +659,17 @@ class TestVectorApi:
         with pytest.raises(RuntimeError, match="NumPy"):
             VectorSimulator(design.module, 4)
         # the message must tell the user what to do, not just what broke
-        assert "numpy" in _NUMPY_HINT and "swar" in _NUMPY_HINT
+        assert "numpy>=2" in _NUMPY_HINT and "swar" in _NUMPY_HINT
+
+    @pytest.mark.parametrize("version, ok", [
+        ("1.24.0", False), ("1.26.4", False),
+        ("2.0.0rc1", True), ("2.0.0", True), ("2.4.6", True), ("10.0", True),
+    ])
+    def test_numpy_before_2_counts_as_missing(self, version, ok):
+        # a np.uint64 scalar stays uint64 under a Python int operand only
+        # with NumPy 2's casting (NEP 50); 1.x makes `+ 1` a float64
+        assert _numpy_supported(version) is ok
+        assert vector_mod.HAVE_NUMPY is _numpy_supported(np.__version__)
 
 
 class TestToolchainEngines:
