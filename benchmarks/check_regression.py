@@ -20,6 +20,9 @@ Three metric classes, with different strictness:
   ``--throughput-tolerance`` (default 3x, catching catastrophic
   regressions such as a lost compilation cache); pass ``--strict`` to
   gate them at ``--tolerance`` too, e.g. on a dedicated perf host.
+  Both limits scale with host speed: the run's ``reference_s`` reading
+  (a fixed pure-Python loop, ``test_host_reference``) over the
+  baseline's, so a slower host gets proportionally more time.
 """
 
 from __future__ import annotations
@@ -35,6 +38,8 @@ BASELINE = pathlib.Path(__file__).parent / "baseline.json"
 #: limit passes despite binary-float rounding (0.8 * 1.5 != 1.2).
 EPS = 1e-9
 
+#: extra_info key of the host-speed reading that scales timing limits
+HOST_KEY = "reference_s"
 #: extra_info keys treated as machine-independent gate counts
 GATE_KEYS = ("gates_raw", "gates_optimized", "dff_optimized", "levels_optimized")
 #: extra_info keys treated as machine-relative ratios (bigger is better)
@@ -49,6 +54,7 @@ def collect(bench_json: dict) -> dict:
     ratios: dict[str, float] = {}
     means: dict[str, float] = {}
     names: list[str] = []
+    host: dict[str, float] = {}
     for bench in bench_json.get("benchmarks", []):
         name = bench["name"]
         names.append(name)
@@ -62,7 +68,9 @@ def collect(bench_json: dict) -> dict:
                 gates[key] = value
             elif key in RATIO_KEYS:
                 ratios[key] = value
-    return {"gates": gates, "ratios": ratios, "mean_seconds": means, "names": names}
+            elif key == HOST_KEY:
+                host[key] = value
+    return {"gates": gates, "ratios": ratios, "mean_seconds": means, "names": names, **host}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -118,6 +126,15 @@ def main(argv: list[str] | None = None) -> int:
             failures.append(f"ratios/{key}: {cur:.2f} < {floor:.2f}")
 
     factor = (1 + args.tolerance) if args.strict else args.throughput_tolerance
+    if HOST_KEY in baseline:
+        cur = current.get(HOST_KEY)
+        if cur is None:
+            failures.append(f"timing: {HOST_KEY} missing from run")
+        else:
+            host = cur / baseline[HOST_KEY]
+            factor *= host
+            print(f"host: reference loop {cur * 1e3:.2f} ms vs baseline "
+                  f"{baseline[HOST_KEY] * 1e3:.2f} ms, timing limits x{host:.2f}")
     for name, base in baseline.get("mean_seconds", {}).items():
         cur = current["mean_seconds"].get(name)
         if cur is None:

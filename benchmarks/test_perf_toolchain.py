@@ -41,6 +41,27 @@ from repro.sapper.semantics import Interpreter
 from repro.workloads import ALL_WORKLOADS
 
 
+def reference_s() -> float:
+    """Seconds of one fixed pure-Python loop that shares no code with
+    the toolchain: how fast this host runs Python right now.  It is
+    perfbench's ``reference()`` loop, so ``baseline.json``'s
+    ``reference_s`` can be perfbench's ``REFERENCE_S`` host reading."""
+    t0 = time.perf_counter()
+    for _ in range(4):
+        table: dict[int, int] = {}
+        for i in range(40_000):
+            table[i & 1023] = table.get(i & 1023, 0) + (i ^ (i >> 3))
+    return (time.perf_counter() - t0) / 4
+
+
+def test_host_reference(benchmark):
+    """The host-speed reading ``check_regression.py`` scales absolute
+    timings by: the median of nine reference loops."""
+    readings = sorted(reference_s() for _ in range(9))
+    benchmark.extra_info["reference_s"] = readings[4]
+    benchmark.pedantic(lambda: readings, rounds=1, iterations=1)
+
+
 def test_compile_tdma(benchmark):
     lat = two_level()
     benchmark(lambda: compile_program(samples.TDMA, lat, name="tdma"))

@@ -161,7 +161,7 @@ def _cmd_compile(args: argparse.Namespace, tc: Toolchain) -> int:
     return 0
 
 
-def _print_step(cycle: int, outs: list[dict[str, int]]) -> None:
+def _print_step(cycle: int, outs: Sequence[dict[str, int]]) -> None:
     ports = " | ".join(" ".join(f"{k}={v}" for k, v in out.items()) for out in outs)
     print(f"cycle {cycle:4d}  {ports}")
 

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.analyze import analyze_design
+from repro.hdl.batch import LaneOutputs, set_bits
 from repro.hdl.ir import HRef
 from repro.hdl.passes import run_pipeline
 from repro.lattice import Lattice, diamond, from_order, powerset, two_level
@@ -334,7 +335,7 @@ def run_lanes(
     inputs: dict[str, int],
     lane_stim: list[dict[str, int]] | None = None,
     compact: bool = True,
-    on_step: Callable[[int, list[dict[str, int]]], None] | None = None,
+    on_step: Callable[[int, LaneOutputs], None] | None = None,
 ) -> LaneRun:
     """Step a batched simulator for up to *cycles* cycles, calling
     ``on_step(cycle, outputs)`` after each step.
@@ -344,27 +345,30 @@ def run_lanes(
     retired from the batch (their *lane_stim* entries with them), and
     the run stops once every remaining lane halts.
     """
-    lanes = sim.lanes
-    violations = [0] * lanes
-    final: list[dict[str, int]] = [{} for _ in range(lanes)]
+    violations = [0] * sim.lanes
+    last: list = [(None, 0)] * sim.lanes  # lane -> (its last step's outputs, position)
     stim = list(lane_stim) if lane_stim is not None else None
+    outs, lanes = None, sim.active_lanes
     for cycle in range(cycles):
         outs = sim.step(stim if stim is not None else inputs)
-        for pos, out in enumerate(outs):
-            lane = sim.active_lanes[pos]
-            violations[lane] += int(bool(out.get("violation", 0)))
-            final[lane] = out
+        lanes = sim.active_lanes
+        for pos in set_bits(outs.word("violation")):
+            violations[lanes[pos]] += 1
         if on_step is not None:
             on_step(cycle, outs)
-        if compact:
-            retire = [pos for pos, out in enumerate(outs) if out.get("halted")]
-            if retire and len(retire) == sim.lanes:
-                break  # every lane halted; nothing left to simulate
-            if retire:
-                gone = set(retire)
-                sim.compact(retire)
-                if stim is not None:  # keep stimulus lane-aligned
-                    stim = [d for pos, d in enumerate(stim) if pos not in gone]
+        halted = outs.word("halted") if compact else 0
+        if halted == (1 << sim.lanes) - 1:
+            break  # every lane halted; nothing left to simulate
+        if halted:
+            retire = list(set_bits(halted))
+            for pos in retire:
+                last[lanes[pos]] = (outs, pos)
+            sim.compact(retire)
+            if stim is not None:  # keep stimulus lane-aligned
+                stim = [d for pos, d in enumerate(stim) if not halted >> pos & 1]
+    for pos, lane in enumerate(lanes):
+        last[lane] = (outs, pos)
+    final = [{} if got is None else got[pos] for got, pos in last]
     return LaneRun(violations, final, sim.cycles, sim.lane_cycles, sim.lanes)
 
 

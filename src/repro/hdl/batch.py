@@ -71,7 +71,7 @@ import marshal
 from collections import Counter
 from pathlib import Path
 from types import CodeType
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from typing import NamedTuple
 
 from repro.hdl.ir import HConst, HExpr, HOp, HRef, Module, significant_bits
@@ -174,10 +174,10 @@ class _BatchCodeGen(_CodeGen):
     """Emits the hybrid packed/SWAR/scalar batched step function.
 
     The generated source defines ``_make_batch_step(n)`` returning a
-    ``_step(pregs, wregs, sregs, arrays, inputs)`` closure; cross-phase
-    lane buffers are allocated once per lane count as default arguments,
-    and the SWAR masks for the module's slot layout are bound as factory
-    locals (they depend only on the lane count).
+    ``_step(pregs, wregs, sregs, arrays, inputs)`` closure that returns
+    a :class:`LaneOutputs`; cross-phase lane buffers are allocated per
+    call, and the SWAR masks for the module's slot layout are bound as
+    factory locals (they depend only on the lane count).
 
     *pitch* and *resident* may be passed explicitly so that specialized
     (state-folded) bodies agree with the main body on the packed state
@@ -1297,8 +1297,7 @@ class _BatchCodeGen(_CodeGen):
                     for stmt in body:
                         self._emit_lane(stmt)
 
-        self._emit("outs = []")
-        self._emit("_outs_append = outs.append")
+        columns: dict[str, str] = {}  # output signal -> LaneOutputs column
         edge_stmts: list[str] = []
         lane = edge_stmts.append
         if ports_in_lane_loop:
@@ -1318,22 +1317,41 @@ class _BatchCodeGen(_CodeGen):
             for stmt in self._port_store(wr.array, idx, self.expr(wr.data)):
                 lane(f"    {stmt}")
         # 3. output ports (pre-edge register values, current-cycle signals)
-        outs = ", ".join(f"{p!r}: {self.ref(sig)}" for p, sig in m.outputs.items())
-        lane("_outs_append({" + outs + "})")
+        for sig in dict.fromkeys(m.outputs.values()):
+            code = self._out_column(sig)
+            if code is None:
+                code = f"o_{sig}"
+                self._emit(f"{code} = [0] * n")
+                lane(f"{code}[_l] = {self.ref(sig)}")
+            columns[sig] = code
         # 4. commit the new per-lane register values
         for reg, _ in wide_next:
             lane(f"wr_{reg}[_l] = _n_{reg}")
-        self._emit("for _l in range(n):")
-        for stmt in self._maybe_lp(edge_stmts, self.pitch):
-            self._emit_lane(stmt)
+        if edge_stmts:
+            self._emit("for _l in range(n):")
+            for stmt in self._maybe_lp(edge_stmts, self.pitch):
+                self._emit_lane(stmt)
         for reg, _ in res_lane:
             self._res_lane_commit(reg)
-        self._emit("return outs")
+        outs = ", ".join(f"{p!r}: {columns[sig]}" for p, sig in m.outputs.items())
+        self._emit(f"return LaneOutputs(n, {{{outs}}})")
+
+    def _out_column(self, sig: str) -> str | None:
+        """Output signal *sig*'s column code, or None for a fresh list
+        the edge loop fills per lane.  Columns outlive the step, so only
+        values no later step mutates pass as they are: packed words and
+        the step's per-call buffers (the per-lane register lists are
+        committed into in place)."""
+        if self.packed_src.get(sig):
+            return f"({self.pref(sig)} & ONES)"
+        if sig in self.listed:
+            return f"x_{sig}"
+        if sig in self.module.inputs:
+            return f"wi_{sig}"
+        return None
 
     def _render(self) -> str:
-        # scratch buffers are allocated once per lane count by the factory
-        # and bound as default arguments (plain fast locals in the step);
-        # SWAR masks depend only on the lane count and bind the same way
+        # SWAR masks depend only on the lane count: factory locals
         header = ["def _make_batch_step(n):", "    ONES = (1 << n) - 1"]
         if self._pool_lines or self._use_cp or self._use_sp:
             header.append(f"    _lay = get_layout({self.pitch}, n)")
@@ -1342,11 +1360,17 @@ class _BatchCodeGen(_CodeGen):
             if self._use_sp:
                 header.append("    _sp = _lay.spreader()")
             header += self._pool_lines
-        header += [f"    {b}_buf = [0] * n" for b in self._bufs]
-        params = "".join(f", {b}={b}_buf" for b in self._bufs)
-        header.append(f"    def _step(pregs, wregs, sregs, arrays, inputs{params}):")
-        body = "\n".join(self._L) if self._L else "        pass"
-        return _SIGNED_HELPER + "\n".join(header) + "\n" + body + "\n    return _step"
+        return self._assemble(header)
+
+    def _assemble(self, header: list[str]) -> str:
+        """The factory: *header*, then the step.  One step function
+        serves every batch of a width, on any thread, so each call
+        allocates its own scratch buffers; the factory holds constants
+        only."""
+        body = [f"        {b} = [0] * n" for b in self._bufs] + self._L
+        return (_SIGNED_HELPER + "\n".join(header)
+                + "\n    def _step(pregs, wregs, sregs, arrays, inputs):\n"
+                + "\n".join(body) + "\n    return _step")
 
 
 # ------------------------------------------------------------- specialization
@@ -1524,7 +1548,7 @@ class _BatchEntry:
         return _BatchCodeGen(module, pitch=pitch, resident=resident)
 
     def _namespace(self) -> dict:
-        return {"get_layout": get_layout}
+        return {"get_layout": get_layout, "LaneOutputs": LaneOutputs}
 
     class _Body:
         """One compiled step body and its per-lane-count step functions;
@@ -1593,6 +1617,89 @@ def _batch_entry(module: Module, tier=None) -> _BatchEntry:
 InputLike = None | dict | Sequence[dict | None]
 
 
+def set_bits(word: int) -> Iterator[int]:
+    """Positions of *word*'s set bits, lowest first: the lanes a packed
+    word flags, at a cost per set bit rather than per lane."""
+    while word:
+        low = word & -word
+        yield low.bit_length() - 1
+        word ^= low
+
+
+def _cell(column, lane: int) -> int:
+    """One lane of an output column (see :class:`LaneOutputs`) as a
+    Python int."""
+    if type(column) is int:
+        return (column >> lane) & 1
+    if type(column) is list:
+        return int(column[lane])
+    return int(column[lane] if column.shape else column)
+
+
+class LaneOutputs(Sequence):
+    """One batched step's output ports, a column per port.
+
+    A 1-bit port's column is its packed word (bit ``l`` = lane ``l``).
+    A wide port's is the engine's native form: a per-lane list of ints
+    on SWAR, and on the vector engine the step's wide value (a
+    ``(lanes,)`` uint64 ndarray or one ``np.uint64``) where the port
+    reads a wide-tier signal or register, else a per-lane list.  The
+    step builds no per-lane dict: batched consumers test :meth:`word`
+    and read :meth:`value` for the lanes they need.  The object is also
+    a lazy sequence of per-lane dicts of Python ints -- ``len``,
+    indexing (negative, slices), iteration, and ``==`` against a list
+    of dicts such as the scalar :class:`~repro.hdl.sim.Simulator`'s
+    outputs -- each dict built when a caller asks for it.  Columns are
+    the step's own, so a result stays valid after later steps,
+    compaction and engine handover.
+    """
+
+    __slots__ = ("lanes", "columns")
+
+    def __init__(self, lanes: int, columns: dict):
+        self.lanes = lanes
+        #: port -> column, in the module's output-port order
+        self.columns = columns
+
+    def word(self, port: str) -> int:
+        """Bit ``l`` set iff lane ``l``'s *port* is nonzero: a 1-bit
+        port's column as it is (0 for a port the module lacks)."""
+        column = self.columns.get(port, 0)
+        if type(column) is int:
+            return column
+        return sum(1 << lane for lane in range(self.lanes) if _cell(column, lane))
+
+    def value(self, port: str, lane: int) -> int:
+        """Lane *lane*'s *port* value."""
+        return _cell(self.columns[port], lane)
+
+    def _row(self, lane: int) -> dict[str, int]:
+        """Lane *lane*'s outputs as a dict: the one place one is built."""
+        return {port: _cell(column, lane) for port, column in self.columns.items()}
+
+    def __len__(self) -> int:
+        return self.lanes
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self._row(lane) for lane in range(*index.indices(self.lanes))]
+        lane = index + self.lanes if index < 0 else index
+        if not 0 <= lane < self.lanes:
+            raise IndexError(f"lane {index} out of range for {self.lanes} lane(s)")
+        return self._row(lane)
+
+    def __iter__(self) -> Iterator[dict[str, int]]:
+        return map(self._row, range(self.lanes))
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (LaneOutputs, list, tuple)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"LaneOutputs({list(self)!r})"
+
+
 class _LaneRegs:
     """Dict-like per-lane view of a :class:`BatchSimulator`'s registers,
     compatible with :attr:`repro.hdl.sim.Simulator.regs` consumers."""
@@ -1648,10 +1755,11 @@ class BatchSimulator:
     :class:`~repro.hdl.sim.Simulator` over the same module.
 
     ``step`` takes either one input dict broadcast to every lane or a
-    sequence of per-lane dicts, and returns the per-lane output-port
-    dicts.  Pass ``optimize=False`` to batch the raw IR (the default
-    mirrors :class:`Simulator` and runs the module through the shared
-    optimization pipeline first).
+    sequence of per-lane dicts, and returns the step's output ports as
+    one :class:`LaneOutputs` (a packed word per 1-bit port, and a lazy
+    per-lane dict view).  Pass ``optimize=False`` to batch the raw IR
+    (the default mirrors :class:`Simulator` and runs the module through
+    the shared optimization pipeline first).
 
     **Lane compaction** -- :meth:`compact` drops retired lanes and
     repacks every piece of state (packed tag words, slot-packed
@@ -1819,6 +1927,11 @@ class BatchSimulator:
             return self._sreg_get(name, lane, reg.width)
         return self.wregs[name][lane]
 
+    def reg_word(self, name: str) -> int:
+        """The 1-bit register *name* across lanes as its packed word
+        (bit ``l`` = lane ``l``)."""
+        return self.pregs[name]
+
     def set_reg(self, lane: int, name: str, value: int) -> None:
         self._check_lane(lane)
         reg = self.module.regs[name]
@@ -1961,8 +2074,9 @@ class BatchSimulator:
                 vals.append(v0 if all(v == v0 for v in lst) else None)
         return tuple(vals)
 
-    def step(self, inputs: InputLike = None) -> list[dict[str, int]]:
-        """Advance every lane one clock cycle; returns per-lane outputs."""
+    def step(self, inputs: InputLike = None) -> LaneOutputs:
+        """Advance every lane one clock cycle; returns the cycle's
+        output ports (see :class:`LaneOutputs`)."""
         self.cycles += 1
         self.lane_cycles += self.lanes
         if self.taint is not None:
@@ -1977,9 +2091,10 @@ class BatchSimulator:
             self.pregs, self.wregs, self.sregs, self.arrays, lane_inputs
         )
 
-    def run(self, cycles: int, inputs: InputLike = None) -> list[dict[str, int]]:
-        """Advance *cycles* cycles; returns the last per-lane outputs."""
-        out: list[dict[str, int]] = [{} for _ in range(self.lanes)]
+    def run(self, cycles: int, inputs: InputLike = None) -> LaneOutputs:
+        """Advance *cycles* cycles; returns the last step's outputs (no
+        ports, so an empty dict per lane, for ``cycles=0``)."""
+        out = LaneOutputs(self.lanes, {})
         for _ in range(cycles):
             out = self.step(inputs)
         return out

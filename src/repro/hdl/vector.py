@@ -75,6 +75,7 @@ from repro.hdl.batch import (
     _cached_entry,
     _packable,
     BatchSimulator,
+    LaneOutputs,
 )
 from repro.hdl.ir import HConst, HExpr, HOp, HRef, Module
 from repro.hdl.sim import nests_within
@@ -164,6 +165,13 @@ def _cz(x):
         return x
     b = x.tobytes()
     return x[0] if b == b[:8] * len(x) else x
+
+
+def _ro(a):
+    """*a* made read-only: a step factory's constant arrays are shared
+    by every batch of its width, on any thread."""
+    a.flags.writeable = False
+    return a
 
 
 def _cl(values):
@@ -292,7 +300,7 @@ class _VectorCodeGen(_BatchCodeGen):
         self._xl_needed: set[str] = set()
         self.dense = _dense_arrays(module)
         self._local_memo: dict[str, str] = {}
-        self._pbm_max = 0
+        self._use_pbm = False
         self._use_ubm = False
         self._used_R = False
         self._use_whr = False
@@ -385,7 +393,7 @@ class _VectorCodeGen(_BatchCodeGen):
         disagree, so its result is an array anyway.  Never mutated,
         like all stored vectors."""
         return self._pooled(
-            ("vka", value), f"_F{len(self._pool)}", f"_np.full(n, {value}, _U64)"
+            ("vka", value), f"_F{len(self._pool)}", f"_ro(_np.full(n, {value}, _U64))"
         )
 
     def _varm(self, e: HExpr, code: str) -> str:
@@ -395,7 +403,7 @@ class _VectorCodeGen(_BatchCodeGen):
             return code
         if code in ("_BT", "_BF"):  # a constant flag
             return self._pooled(
-                ("bta", code), f"{code}A", f"_np.full(n, {code == '_BT'}, _np.bool_)"
+                ("bta", code), f"{code}A", f"_ro(_np.full(n, {code == '_BT'}, _np.bool_))"
             )
         return self._kna(e.value)
 
@@ -956,7 +964,7 @@ class _VectorCodeGen(_BatchCodeGen):
             name, code = packs[0]
             self._emit(f"p_{name} = {self._pack_flag(code)}")
         elif packs:
-            self._pbm_max = max(self._pbm_max, len(packs))
+            self._use_pbm = True
             names = ", ".join(f"p_{nm}" for nm, _ in packs)
             codes = ", ".join(code for _, code in packs)
             self._emit(f"{names} = _pbm(({codes},))")
@@ -1070,11 +1078,18 @@ class _VectorCodeGen(_BatchCodeGen):
     def _res_lane_commit(self, reg: str) -> None:
         self._emit(f"sregs[{reg!r}] = _cl(ns_{reg})")
 
+    def _out_column(self, sig: str) -> str | None:
+        # a wide-tier signal or resident register is its wide value
+        if not self.packed_src.get(sig) and (
+                self.kinds.get(sig) == "w" or sig in self.resident):
+            return f"s_{sig}"
+        return super()._out_column(sig)
+
     # -- rendering ----------------------------------------------------------
 
     def _render(self) -> str:
-        from repro.hdl.sim import _SIGNED_HELPER
-
+        # every constant the factory binds is immutable (ints, bytes,
+        # NumPy scalars) or a read-only ndarray (_ro)
         header = [
             "def _make_batch_step(n):",
             "    ONES = (1 << n) - 1",
@@ -1097,19 +1112,16 @@ class _VectorCodeGen(_BatchCodeGen):
             "        return int.from_bytes(_np.packbits(v,"
             " bitorder='little').tobytes(), 'little')",
         ]
-        if self._pbm_max:
+        if self._use_pbm:
             # uniform flags pack to ONES / 0 directly; the array rows
-            # land in one preallocated buffer (reused every step,
-            # consumed before return -- nothing aliases it), so one
-            # packbits compresses them without the per-row ndarray
-            # overhead of np.stack
+            # land in one buffer per call, so one packbits compresses
+            # them without the per-row ndarray overhead of np.stack
             header += [
-                f"    _PBB = _np.empty(({self._pbm_max}, n), _np.bool_)",
                 "    def _pbm(vs):",
                 "        _r = [None if _v.shape else (ONES if _v else 0) for _v in vs]",
                 "        _ix = [_i for _i, _x in enumerate(_r) if _x is None]",
                 "        if _ix:",
-                "            _B = _PBB[:len(_ix)]",
+                "            _B = _np.empty((len(_ix), n), _np.bool_)",
                 "            for _j, _i in enumerate(_ix):",
                 "                _B[_j] = vs[_i]",
                 "            _b = _np.packbits(_B, axis=1,"
@@ -1151,7 +1163,7 @@ class _VectorCodeGen(_BatchCodeGen):
                 "        return _np.where(d, t(), f())",
             ]
         if self._dense_loads or self._used_R:
-            header.append("    _R = _np.arange(n)")
+            header.append("    _R = _ro(_np.arange(n))")
         if self._use_gat:
             # a register-file style table lookup: a uniform index picks
             # its row; an index the lanes disagree on stacks the rows
@@ -1172,11 +1184,7 @@ class _VectorCodeGen(_BatchCodeGen):
                 "        return _B[i, _R]",
             ]
         header += self._pool_lines
-        header += [f"    {b}_buf = [0] * n" for b in self._bufs]
-        params = "".join(f", {b}={b}_buf" for b in self._bufs)
-        header.append(f"    def _step(pregs, wregs, sregs, arrays, inputs{params}):")
-        body = "\n".join(self._L) if self._L else "        pass"
-        return _SIGNED_HELPER + "\n".join(header) + "\n" + body + "\n    return _step"
+        return self._assemble(header)
 
 
 # ----------------------------------------------------------------- entry
@@ -1197,6 +1205,7 @@ class _VectorEntry(_BatchEntry):
 
     def _namespace(self) -> dict:
         return {
+            "LaneOutputs": LaneOutputs,
             "_np": np,
             "_vshl": _vshl,
             "_vshr": _vshr,
@@ -1206,6 +1215,7 @@ class _VectorEntry(_BatchEntry):
             "_sv": _sv,
             "_cz": _cz,
             "_cl": _cl,
+            "_ro": _ro,
         }
 
 
@@ -1273,7 +1283,9 @@ class VectorSimulator(BatchSimulator):
     def _refresh_layout(self) -> None:
         self._layout = None  # no slot layout: lanes are the array axis
 
-    def step(self, inputs=None) -> list[dict[str, int]]:
+    def step(self, inputs=None) -> LaneOutputs:
+        """:meth:`BatchSimulator.step`; a wide port whose signal is
+        wide-tier or a resident register comes back as its wide value."""
         # scalar uint64 ops warn on the wraparound the lowering relies on
         # (array ops do not); a fresh errstate per call scopes the
         # silencing to this step.  Named, not super(): a method bound

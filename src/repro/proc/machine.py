@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections.abc import Sequence
 
+from repro.hdl.batch import set_bits
 from repro.lattice import Lattice, encode, two_level
 from repro.mips.assembler import Executable, assemble
 from repro.mips.iss import Iss
@@ -230,41 +231,39 @@ class BatchedMachines:
         scalar :meth:`SapperMachine.run` per program would).
         """
         sim = self.sim
-        halted_reg = "halted_r"
         budgets = check_budgets(max_cycles, self.lanes)
-        spent = [0] * self.lanes
+        ending: dict[int, list[int]] = {}  # cycle -> lanes whose budget ends there
+        for lane, budget in enumerate(budgets):
+            ending.setdefault(budget, []).append(lane)
         if self.capture_state:
-            self._snapshot(pos for pos, lane in enumerate(sim.active_lanes) if not budgets[lane])
+            self._snapshot(ending.get(0, []))
+        # packed positions of the lanes still counting (budget-0 lanes never do)
+        live = sum(1 << lane for lane, budget in enumerate(budgets) if budget)
         for cycle in range(1, max(budgets, default=0) + 1):
             outs = sim.step()
-            live = False
-            retire: list[int] = []
-            for pos, out in enumerate(outs):
-                lane = sim.active_lanes[pos]
-                if self.halted_at[lane] is not None or cycle > budgets[lane]:
-                    continue
-                spent[lane] = cycle
-                if out.get("out_valid"):
-                    self.outputs[lane].append(out["out_port"])
-                if out.get("violation"):
-                    self.violations[lane] += 1
-                if sim.get_reg(pos, halted_reg):
-                    self.halted_at[lane] = cycle
-                    retire.append(pos)
-                elif cycle >= budgets[lane]:
-                    retire.append(pos)
-                else:
-                    live = True
+            lanes = sim.active_lanes
+            for pos in set_bits(outs.word("out_valid") & live):
+                self.outputs[lanes[pos]].append(outs.value("out_port", pos))
+            for pos in set_bits(outs.word("violation") & live):
+                self.violations[lanes[pos]] += 1
+            retire = list(set_bits(sim.reg_word("halted_r") & live))
+            for pos in retire:
+                self.halted_at[lanes[pos]] = cycle
+            retire += [lanes.index(lane) for lane in ending.get(cycle, ())
+                       if self.halted_at[lane] is None]
             if self.capture_state:
                 self._snapshot(retire)
+            live &= ~sum(1 << pos for pos in retire)
             if not live:
                 break
             if self.compact and retire:
                 sim.compact(retire)
+                live = sum(1 << pos for pos, lane in enumerate(sim.active_lanes)
+                           if self.halted_at[lane] is None and budgets[lane] > cycle)
         results = [
             RunResult(
                 outputs=list(self.outputs[lane]),
-                cycles=self.halted_at[lane] or spent[lane],
+                cycles=self.halted_at[lane] or budgets[lane],
                 violations=self.violations[lane],
                 halted=self.halted_at[lane] is not None,
             )

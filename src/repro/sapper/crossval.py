@@ -289,31 +289,26 @@ class BatchCrossValidation:
         outs = self.batch.step(
             [encode_inputs(self.design, inputs or {}) for inputs in lane_inputs]
         )
+        fired = outs.word("violation")
         for lane in range(self.lanes):
             it = self.interps[lane]
             it_out = it.run_cycle(lane_inputs[lane] or {})
             cycle = it.delta
             violated = len(it.violations) > before[lane]
             cv = self._lane_cv[lane]
-            view = cv.sim
-            sim_out = outs[lane]
             tag = f"lane{lane}:"
             for port, (value, label) in it_out.items():
-                if sim_out.get(port) != value:
-                    self.mismatches.append(
-                        Mismatch(cycle, f"{tag}output {port}", value, sim_out.get(port))
-                    )
+                got = outs.value(port, lane)
+                if got != value:
+                    self.mismatches.append(Mismatch(cycle, f"{tag}output {port}", value, got))
                 tag_port = f"{port}__tag"
-                if tag_port in sim_out and sim_out[tag_port] != self.design.encoding.encode(label):
-                    self.mismatches.append(
-                        Mismatch(cycle, f"{tag}output tag {port}", label, sim_out[tag_port])
-                    )
-            if bool(sim_out.get("violation", 0)) != violated:
-                self.mismatches.append(
-                    Mismatch(cycle, f"{tag}violation flag", violated,
-                             bool(sim_out.get("violation", 0)))
-                )
-            cv.compare_state(cycle, view, tag)
+                got = outs.value(tag_port, lane) if tag_port in outs.columns else None
+                if got is not None and got != self.design.encoding.encode(label):
+                    self.mismatches.append(Mismatch(cycle, f"{tag}output tag {port}", label, got))
+            fires = bool(fired >> lane & 1)
+            if fires != violated:
+                self.mismatches.append(Mismatch(cycle, f"{tag}violation flag", violated, fires))
+            cv.compare_state(cycle, cv.sim, tag)
 
     def run(
         self,

@@ -48,14 +48,18 @@ def run_main(tmp_path, current, baseline=BASE, argv_extra=()):
     return check_regression.main([bench, "--baseline", basefile, *argv_extra])
 
 
-def current_doc(gates=1000, batch=3.0, vector=1.5, mean=0.1):
-    return bench_json(
+def current_doc(gates=1000, batch=3.0, vector=1.5, mean=0.1, reference=None):
+    doc = bench_json(
         {"test_x": mean, "test_gates": 1e-6, "test_ratio": 1e-6},
         extra={
             "test_gates": {"gates_optimized": gates},
             "test_ratio": {"batch_speedup": batch, "vector_speedup": vector},
         },
     )
+    if reference is not None:
+        doc["benchmarks"].append({"name": "test_host_reference", "stats": {"mean": 1e-6},
+                                  "extra_info": {"reference_s": reference}})
+    return doc
 
 
 class TestCollect:
@@ -233,6 +237,52 @@ class TestThresholdBoundaries:
     def test_strict_gates_timings_at_tolerance(self, tmp_path):
         assert run_main(tmp_path, current_doc(mean=0.121), argv_extra=["--strict"]) == 1
         assert run_main(tmp_path, current_doc(mean=0.119), argv_extra=["--strict"]) == 0
+
+
+class TestHostScaling:
+    """Absolute timing limits scale by the run's reference-loop reading
+    over the baseline's; gates and ratios do not."""
+
+    BASE = {**BASE, "reference_s": 0.01}
+
+    def test_slower_host_gets_proportionally_more_time(self, tmp_path, capsys):
+        # twice as slow a host: 0.5 s is over the unscaled 3x limit of
+        # 0.3 s but within the scaled 0.6 s
+        doc = current_doc(mean=0.5, reference=0.02)
+        assert run_main(tmp_path, doc, baseline=self.BASE) == 0
+        assert "timing limits x2.00" in capsys.readouterr().out
+        assert run_main(tmp_path, current_doc(mean=0.5)) == 1  # no readings: unscaled
+
+    def test_regression_still_fails_on_a_slow_host(self, tmp_path):
+        doc = current_doc(mean=0.60001, reference=0.02)
+        assert run_main(tmp_path, doc, baseline=self.BASE) == 1
+
+    def test_faster_host_tightens_the_limit(self, tmp_path):
+        doc = current_doc(mean=0.2, reference=0.005)
+        assert run_main(tmp_path, doc, baseline=self.BASE) == 1  # limit 0.15
+
+    def test_strict_limit_scales_too(self, tmp_path):
+        doc = current_doc(mean=0.23, reference=0.02)
+        assert run_main(tmp_path, doc, baseline=self.BASE, argv_extra=["--strict"]) == 0
+        doc = current_doc(mean=0.25, reference=0.02)
+        assert run_main(tmp_path, doc, baseline=self.BASE, argv_extra=["--strict"]) == 1
+
+    def test_reading_missing_from_run_fails(self, tmp_path, capsys):
+        assert run_main(tmp_path, current_doc(), baseline=self.BASE) == 1
+        assert "reference_s missing" in capsys.readouterr().out
+
+    def test_update_records_the_reading(self, tmp_path):
+        bench = write(tmp_path, "bench.json", current_doc(reference=0.012))
+        basefile = tmp_path / "baseline.json"
+        basefile.write_text(json.dumps(BASE))
+        check_regression.main([bench, "--baseline", str(basefile), "--update"])
+        assert json.loads(basefile.read_text())["reference_s"] == 0.012
+
+    def test_committed_baseline_and_bench_record_a_reading(self):
+        committed = json.loads(check_regression.BASELINE.read_text())
+        assert committed["reference_s"] > 0
+        source = (_MODPATH.parent / "test_perf_toolchain.py").read_text()
+        assert 'extra_info["reference_s"]' in source
 
 
 class TestUpdate:
