@@ -9,9 +9,7 @@ this layer proves facts about the *result* before anything simulates.
   ports) shared by every analysis.
 * :mod:`repro.analyze.taint` -- may-carry-taint reachability from the
   tagged inputs: a :class:`TaintCertificate` classifying every signal
-  as statically tainted (with a witness path) or statically clean, plus
-  the :class:`PackedTaintTracker` the batched tiers attach to track
-  dynamic taint only over the statically tainted cone.
+  as statically tainted (with a witness path) or statically clean.
 * :mod:`repro.analyze.shadow` -- a deliberately independent shadow-tag
   reference interpreter used to pin the soundness contract: any signal
   that ever becomes dynamically tainted must be statically tainted.
@@ -30,7 +28,6 @@ from repro.analyze.lint import (
 )
 from repro.analyze.shadow import ShadowSimulator
 from repro.analyze.taint import (
-    PackedTaintTracker,
     TaintCertificate,
     compute_taint,
     default_taint_sources,
@@ -44,7 +41,6 @@ __all__ = [
     "TaintCertificate",
     "compute_taint",
     "default_taint_sources",
-    "PackedTaintTracker",
     "ShadowSimulator",
     "AnalysisFinding",
     "AnalysisReport",

@@ -31,10 +31,6 @@ def array_node(name: str) -> str:
     return ARRAY_PREFIX + name
 
 
-def is_array_node(node: str) -> bool:
-    return node.startswith(ARRAY_PREFIX)
-
-
 def _expr_sources(expr: HExpr) -> tuple[set[str], set[str]]:
     """Signal names and array names read anywhere inside *expr*."""
     signals: set[str] = set()

@@ -1825,8 +1825,6 @@ class BatchSimulator:
         self.arrays: dict[str, list[dict[int, int]]] = {
             name: [{} for _ in range(lanes)] for name in module.arrays
         }
-        #: optional lane-packed shadow-taint layer (see :meth:`attach_taint`)
-        self.taint = None
         self._ones = (1 << lanes) - 1
         self._empty_inputs = [{}] * lanes
 
@@ -1944,31 +1942,6 @@ class BatchSimulator:
         else:
             self.wregs[name][lane] = value
 
-    def attach_taint(self, sources=None, certificate=None, lane_masks=None):
-        """Attach lane-packed shadow-taint tracking over the tainted cone.
-
-        *sources* names the input ports that inject taint (or pass a
-        precomputed :class:`~repro.analyze.taint.TaintCertificate` as
-        *certificate*); *lane_masks* optionally restricts each source
-        to a packed subset of lanes.  The static certificate prunes the
-        shadow state up front: only statically tainted signals get a
-        packed taint word, statically clean ones are dropped from the
-        tag cone entirely (see ``self.taint.stats``).  Tracking is
-        passive -- values, outputs, and every counter stay bit-identical
-        with and without it.  The tracker advances with every
-        :meth:`step` and repacks with every :meth:`compact`.
-        """
-        from repro.analyze.taint import PackedTaintTracker, compute_taint
-
-        if certificate is None:
-            if sources is None:
-                raise ValueError("attach_taint() needs sources or a certificate")
-            certificate = compute_taint(self.module, tuple(sources))
-        self.taint = PackedTaintTracker(
-            self.module, certificate, self.lanes, lane_masks
-        )
-        return self.taint
-
     def lane_view(self, lane: int) -> _LaneView:
         return _LaneView(self, self._check_lane(lane))
 
@@ -2031,8 +2004,6 @@ class BatchSimulator:
             self.wregs[name] = [lst[lane] for lane in keep]
         for name, lst in self.arrays.items():
             self.arrays[name] = [lst[lane] for lane in keep]
-        if self.taint is not None:
-            self.taint.compact(keep)
         gone = [self.active_lanes[lane] for lane in sorted(seen)]
         self.active_lanes = [self.active_lanes[lane] for lane in keep]
         self.lanes = k
@@ -2079,8 +2050,6 @@ class BatchSimulator:
         output ports (see :class:`LaneOutputs`)."""
         self.cycles += 1
         self.lane_cycles += self.lanes
-        if self.taint is not None:
-            self.taint.step()
         lane_inputs = self._lane_inputs(inputs)
         body = self._entry.body_for(self.module, self._uniform_combo())
         if body.bound:

@@ -1322,11 +1322,11 @@ class VectorSimulator(BatchSimulator):
     def _retarget(self, entry: _BatchEntry) -> None:
         """Hand the batch to the SWAR engine in place (see
         :meth:`~repro.hdl.batch.BatchSimulator.compact`): the same
-        object, counters, lanes and taint tracker, stepping *entry*'s
-        code from now on.  Multi-bit registers are re-laid into the
-        entry's ``sregs``/``wregs`` split and the ``a:`` dense mirrors
-        dropped (the per-lane dicts are canonical); 1-bit registers and
-        arrays already share one layout."""
+        object, counters and lanes, stepping *entry*'s code from now
+        on.  Multi-bit registers are re-laid into the entry's
+        ``sregs``/``wregs`` split and the ``a:`` dense mirrors dropped
+        (the per-lane dicts are canonical); 1-bit registers and arrays
+        already share one layout."""
         wide = {
             name: np.broadcast_to(self.sregs[name], self.lanes).tolist()
             if name in self.sregs else self.wregs[name]

@@ -43,9 +43,6 @@ class Executable:
     symbols: dict[str, int]               # label -> byte address
     entry: int = 0
 
-    def word_at(self, byte_addr: int) -> int:
-        return self.words.get(byte_addr >> 2, 0)
-
     def as_memory(self) -> dict[int, int]:
         """Copy of the image keyed by word address (for simulators)."""
         return dict(self.words)

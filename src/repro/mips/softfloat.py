@@ -46,10 +46,6 @@ def inf(s: int) -> int:
     return pack(s, INF_EXP, 0)
 
 
-def is_zero(x: int) -> bool:
-    return x & 0x7FFFFFFF == 0 or (x >> 23 & 0xFF) == 0
-
-
 def fadd(a: int, b: int) -> int:
     sa, ea, ma = unpack(a)
     sb, eb, mb = unpack(b)

@@ -51,9 +51,6 @@ class ProgramInfo:
     def root(self) -> ast.StateDef:
         return self.states[ast.ROOT]
 
-    def is_state(self, name: str) -> bool:
-        return name in self.states
-
     def is_enforced_state(self, name: str) -> bool:
         if name == ast.ROOT:
             return True

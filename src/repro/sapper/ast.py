@@ -465,7 +465,3 @@ class Program:
 
     def arr_decls(self) -> dict[str, ArrDecl]:
         return {d.name: d for d in self.decls if isinstance(d, ArrDecl)}
-
-    def all_states(self) -> Iterator[StateDef]:
-        for s in self.states:
-            yield from s.walk()

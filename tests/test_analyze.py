@@ -4,8 +4,7 @@ Soundness is pinned differentially: :class:`ShadowSimulator` carries a
 dynamic one-bit taint through random programs, and every signal it ever
 taints must be marked tainted by the static
 :class:`~repro.analyze.taint.TaintCertificate` -- *statically clean is
-a proof*, which is what licenses the batched tiers to drop shadow
-words for clean signals.  The lint rules are each proven to fire on a
+a proof*.  The lint rules are each proven to fire on a
 seeded defect and to stay silent on every shipped sample design.
 """
 
@@ -16,16 +15,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.analyze import (
-    PackedTaintTracker,
     ShadowSimulator,
     analyze_design,
     analyze_module,
-    array_node,
     build_graph,
     compute_taint,
     default_taint_sources,
 )
-from repro.hdl import BatchSimulator, HConst, HOp, HRef, Module, Simulator
+from repro.hdl import HConst, HOp, HRef, Module, Simulator
 from repro.lattice import diamond, two_level
 from repro.sapper import samples
 from repro.sapper.analysis import analyze
@@ -92,26 +89,6 @@ class TestSoundness:
             path = cert.witness(node)
             assert path[0] in cert.sources and path[-1] == node
 
-    @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(st.one_of(strategies.programs(), strategies.wide_programs()), st.data())
-    def test_tracker_contains_oracle(self, program, data):
-        """The packed value-independent tracker over-approximates the
-        value-aware oracle, lane by lane."""
-        design = compile_source_program(program)
-        module = design.module
-        sources = input_sources(design)
-        cert = compute_taint(module, sources)
-        shadow = ShadowSimulator(module, sources)
-        tracker = PackedTaintTracker(module, cert, lanes=1)
-        for entry in data.draw(strategies.stimulus_traces(cycles=8)):
-            shadow.step(encode_inputs(design, entry))
-            tracker.step()
-        missed = {n for n in shadow.ever_tainted if not tracker.lane_tainted(0, n)}
-        assert not missed, f"oracle-tainted but untracked: {sorted(missed)}"
-        # and the tracker never invents nodes outside the static cone
-        assert set(tracker.ever) <= cert.tainted
-
-
 def compile_source_program(program):
     lat = two_level()
     info = analyze(program, lat)
@@ -147,13 +124,6 @@ class TestCertificate:
         design = compile_source(samples.TDMA, name="tdma")
         with pytest.raises(ValueError, match="unknown taint source"):
             compute_taint(design.module, ("no_such_port",))
-
-    def test_certificates_are_memoized_per_module(self):
-        design = compile_source(samples.TDMA, name="tdma")
-        sources = default_taint_sources(design)
-        assert compute_taint(design.module, sources) is compute_taint(
-            design.module, sources
-        )
 
     @pytest.mark.parametrize("name", sorted(SAMPLES))
     def test_analysis_builds_one_signal_graph(self, name):
@@ -390,90 +360,6 @@ class TestWidthValidate:
         for name, source in SAMPLES.items():
             for secure in (True, False):
                 compile_source(source, secure=secure, name=name).module.validate()
-
-
-# -- tag-cone pruning in the batched tiers ------------------------------------
-
-
-class TestTrackerPrune:
-    def fresh(self, lanes=4):
-        design = compile_source(samples.TDMA, name="tdma")
-        module = design.module
-        sim = BatchSimulator(module, lanes, optimize=False)
-        return design, module, sim
-
-    def test_attach_reports_prune_and_keeps_bits_identical(self):
-        design, module, sim = self.fresh()
-        ref = BatchSimulator(module, 4, optimize=False)
-        tracker = sim.attach_taint(sources=default_taint_sources(design))
-        assert sim.taint is tracker
-        stats = tracker.stats
-        assert stats["pruned_signals"] > 0 and stats["tainted_signals"] > 0
-        assert stats["tracked_words"] < stats["signals"]
-        stim = [{"hi_in": lane + 1, "lo_in": lane + 5} for lane in range(4)]
-        for _ in range(20):
-            assert sim.step(stim) == ref.step(stim)
-
-    def test_lane_masks_keep_unsourced_lanes_clean(self):
-        design, module, sim = self.fresh()
-        sources = default_taint_sources(design)
-        tracker = sim.attach_taint(
-            sources=sources, lane_masks={s: 0b0001 for s in sources}
-        )
-        for _ in range(10):
-            sim.step({"hi_in": 9})
-        assert tracker.ever_tainted(0)
-        for lane in (1, 2, 3):
-            assert not tracker.ever_tainted(lane)
-
-    def test_lane_mask_for_non_source_rejected(self):
-        design, module, sim = self.fresh()
-        with pytest.raises(ValueError, match="not a taint source"):
-            sim.attach_taint(
-                sources=default_taint_sources(design), lane_masks={"lo_in": 1}
-            )
-
-    def test_attach_requires_sources_or_certificate(self):
-        _design, _module, sim = self.fresh()
-        with pytest.raises(ValueError, match="sources"):
-            sim.attach_taint()
-
-    def test_compact_repacks_taint_lanes(self):
-        design, module, sim = self.fresh()
-        sources = default_taint_sources(design)
-        tracker = sim.attach_taint(
-            sources=sources, lane_masks={s: 0b0101 for s in sources}
-        )
-        for _ in range(5):
-            sim.step({"hi_in": 3})
-        before = [tracker.ever_tainted(lane) for lane in range(4)]
-        sim.compact([1])  # retire lane 1; lanes (0, 2, 3) survive
-        assert tracker.lanes == 3
-        assert [tracker.ever_tainted(pos) for pos in range(3)] == [
-            before[0], before[2], before[3]
-        ]
-
-    def test_tracker_matches_shadow_on_every_tier(self):
-        pytest.importorskip("numpy", minversion="2")
-        from repro.hdl import VectorSimulator
-
-        design = compile_source(samples.TDMA, name="tdma")
-        module = design.module
-        sources = default_taint_sources(design)
-        shadow = ShadowSimulator(module, sources)
-        stim = {"hi_in": 7, "lo_in": 1}
-        for _ in range(12):
-            shadow.step(encode_inputs(design, {k: (v, "L") for k, v in stim.items()}))
-        sims = [
-            BatchSimulator(module, 2, optimize=False),
-            VectorSimulator(module, 2, optimize=False),
-        ]
-        for sim in sims:
-            tracker = sim.attach_taint(sources=sources)
-            for _ in range(12):
-                sim.step(stim)
-            for node in shadow.ever_tainted:
-                assert tracker.lane_tainted(0, node), (type(sim).__name__, node)
 
 
 # -- toolchain + CLI + server wiring ------------------------------------------

@@ -48,7 +48,7 @@ def run_main(tmp_path, current, baseline=BASE, argv_extra=()):
     return check_regression.main([bench, "--baseline", basefile, *argv_extra])
 
 
-def current_doc(gates=1000, batch=3.0, vector=1.5, mean=0.1, reference=None):
+def current_doc(gates=1000, batch=3.0, vector=1.5, mean=0.1, reference=None, after=None):
     doc = bench_json(
         {"test_x": mean, "test_gates": 1e-6, "test_ratio": 1e-6},
         extra={
@@ -56,9 +56,11 @@ def current_doc(gates=1000, batch=3.0, vector=1.5, mean=0.1, reference=None):
             "test_ratio": {"batch_speedup": batch, "vector_speedup": vector},
         },
     )
-    if reference is not None:
-        doc["benchmarks"].append({"name": "test_host_reference", "stats": {"mean": 1e-6},
-                                  "extra_info": {"reference_s": reference}})
+    for name, value in (("test_host_reference", reference),
+                        ("test_host_reference_after", after)):
+        if value is not None:
+            doc["benchmarks"].append({"name": name, "stats": {"mean": 1e-6},
+                                      "extra_info": {"reference_s": value}})
     return doc
 
 
@@ -267,6 +269,19 @@ class TestHostScaling:
         doc = current_doc(mean=0.25, reference=0.02)
         assert run_main(tmp_path, doc, baseline=self.BASE, argv_extra=["--strict"]) == 1
 
+    @pytest.mark.parametrize("before, after", [(0.02, 0.03), (0.03, 0.02)])
+    def test_smaller_of_two_readings_scales(self, tmp_path, capsys, before, after):
+        # readings taken before and after the timed benchmarks: the
+        # smaller one (x2.00, limit 0.6 s) gates, whichever came first
+        assert check_regression.collect(current_doc(reference=before, after=after))[
+            "reference_s"] == 0.02
+        doc = current_doc(mean=0.5, reference=before, after=after)
+        assert run_main(tmp_path, doc, baseline=self.BASE) == 0
+        assert "timing limits x2.00" in capsys.readouterr().out
+        # within the larger reading's 0.9 s limit, over the smaller's
+        doc = current_doc(mean=0.65, reference=before, after=after)
+        assert run_main(tmp_path, doc, baseline=self.BASE) == 1
+
     def test_reading_missing_from_run_fails(self, tmp_path, capsys):
         assert run_main(tmp_path, current_doc(), baseline=self.BASE) == 1
         assert "reference_s missing" in capsys.readouterr().out
@@ -283,6 +298,9 @@ class TestHostScaling:
         assert committed["reference_s"] > 0
         source = (_MODPATH.parent / "test_perf_toolchain.py").read_text()
         assert 'extra_info["reference_s"]' in source
+        # the second reading is the module's last test, after every timed one
+        last_test = source.rsplit("\ndef test_", 1)[1]
+        assert last_test.startswith("host_reference_after(")
 
 
 class TestUpdate:

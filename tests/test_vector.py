@@ -28,7 +28,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import commands
-from repro.analyze import default_taint_sources
 from repro.hdl import (
     BatchSimulator,
     HConst,
@@ -768,14 +767,10 @@ def _staggered_stimulus(lanes=HANDOVER_LANES):
     return [{"k": 1 + lane % 25, "h": lane} for lane in range(lanes)]
 
 
-def _run_staggered(sim, design, stim):
+def _run_staggered(sim, stim):
     """Step *sim* until every lane halts, retiring halted lanes; returns
-    each original lane's (cycle, outputs, registers, arrays, taint) at
-    halting and the engine class after every compaction."""
-    tracker = sim.attach_taint(
-        sources=default_taint_sources(design),
-        lane_masks={"h": sum(1 << lane for lane in range(0, len(stim), 3))},
-    )
+    each original lane's (cycle, outputs, registers, arrays) at halting
+    and the engine class after every compaction."""
     final, classes = {}, []
     while True:
         outs = sim.step(stim)
@@ -786,7 +781,6 @@ def _run_staggered(sim, design, stim):
                 outs[pos],
                 sim.lane_regs(pos),
                 {name: dict(store[pos]) for name, store in sim.arrays.items()},
-                tracker.ever_tainted(pos),
             )
         if len(retire) == sim.lanes:
             return final, classes
@@ -795,7 +789,6 @@ def _run_staggered(sim, design, stim):
             gone = set(retire)
             stim = [d for pos, d in enumerate(stim) if pos not in gone]
             classes.append((sim.lanes, type(sim)))
-        assert sim.taint is tracker
 
 
 class TestAutoHandover:
@@ -814,7 +807,7 @@ class TestAutoHandover:
             stepped = []
             real_step = sim.step
             sim.step = lambda inputs, real_step=real_step: stepped.append(1) or real_step(inputs)
-            final, classes = _run_staggered(sim, design, list(stim))
+            final, classes = _run_staggered(sim, list(stim))
             assert len(stepped) == sim.cycles  # the wrapped object stepped throughout
             assert_one_path_per_step(sim)
             assert sim.compactions == len(classes) and len(final) == HANDOVER_LANES
@@ -832,7 +825,7 @@ class TestAutoHandover:
         assert runs["auto"][0] == runs["swar"][0] == runs["vector"][0]
 
         module = auto.module
-        for lane, (cycles, out, regs, arrays, _) in runs["auto"][0].items():
+        for lane, (cycles, out, regs, arrays) in runs["auto"][0].items():
             scalar = Simulator(module, optimize=False)
             for _ in range(cycles):
                 want = scalar.step(stim[lane])
@@ -1064,13 +1057,13 @@ class TestLaneUniform:
                 return real_compact(retired)
 
             sim.compact = compact
-            runs[engine] = _run_staggered(sim, design, list(stim))[0], seen, sim
+            runs[engine] = _run_staggered(sim, list(stim))[0], seen, sim
         final, seen, auto = runs["auto"]
         assert type(auto) is BatchSimulator  # handed over
         assert seen and set(seen) == {(np.uint64, np.ndarray)}
         assert final == runs["swar"][0]
         module = auto.module
-        for lane, (cycles, out, regs, arrays, _) in final.items():
+        for lane, (cycles, out, regs, arrays) in final.items():
             scalar = Simulator(module, optimize=False)
             for _ in range(cycles):
                 want = scalar.step(stim[lane])
